@@ -23,8 +23,16 @@ from .boolfn import (
     named_fn,
     pr,
 )
-from .domain import DEFAULT_TUPLE_CAP, Domain, degeneracy, is_affine, is_closed_under, rename_domain
-from .errors import CapExceededError, DegenerateDomainError, EmptyDomainError, ParseError, VerificationError
+from .domain import (
+    DEFAULT_TUPLE_CAP,
+    Domain,
+    degeneracy,
+    escaping_tuple,
+    is_affine,
+    is_closed_under,
+    rename_domain,
+)
+from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError
 from .formula import DEFAULT_MODELS_CAP
 from .recognize import LpicWitness, RPHWitness, SeparabilityWitness, check_renamable_partially_horn, check_separable
 from .synthesize import SynthesisResult, affine_formula, lpic_analysis, lpic_for, pic_for, prime_cnf
@@ -84,20 +92,7 @@ def aggregator_counterexample(F: Aggregator, d: Domain, tuple_cap: int = DEFAULT
         raise ValueError("all components must be unanimous")
     if F.n != d.n:
         raise ValueError(f"aggregator has {F.n} components, domain arity is {d.n}")
-    if len(d.members) ** F.k > tuple_cap:
-        raise CapExceededError(f"|d|^k = {len(d.members)}^{F.k} exceeds cap {tuple_cap}")
-    member_set = d.member_set
-    tables = [f.table for f in F.components]
-    for rows in product(d.members, repeat=F.k):
-        out = []
-        for j in range(d.n):
-            idx = 0
-            for row in rows:
-                idx = (idx << 1) | row[j]
-            out.append(tables[j][idx])
-        if tuple(out) not in member_set:
-            return rows
-    return None
+    return escaping_tuple(d, [f.table for f in F.components], tuple_cap)
 
 
 def is_aggregator(F: Aggregator, d: Domain, tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:
@@ -111,19 +106,7 @@ def generalized_dictatorship_counterexample(
     returns one of its inputs (on the domain only)."""
     if F.n != d.n:
         raise ValueError(f"aggregator has {F.n} components, domain arity is {d.n}")
-    if len(d.members) ** F.k > tuple_cap:
-        raise CapExceededError(f"|d|^k = {len(d.members)}^{F.k} exceeds cap {tuple_cap}")
-    tables = [f.table for f in F.components]
-    for rows in product(d.members, repeat=F.k):
-        out = []
-        for j in range(d.n):
-            idx = 0
-            for row in rows:
-                idx = (idx << 1) | row[j]
-            out.append(tables[j][idx])
-        if tuple(out) not in rows:
-            return rows
-    return None
+    return escaping_tuple(d, [f.table for f in F.components], tuple_cap, own_rows=True)
 
 
 def is_generalized_dictatorship(F: Aggregator, d: Domain, tuple_cap: int = DEFAULT_TUPLE_CAP) -> bool:

@@ -7,6 +7,7 @@ number with the first argument as the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 
@@ -42,18 +43,22 @@ def from_rule(k: int, rule) -> BoolFn:
     return BoolFn(k, tuple(int(bool(rule(*bits))) for bits in product((0, 1), repeat=k)))
 
 
+@cache
 def pr(d: int, k: int) -> BoolFn:
-    """The k-ary projection onto the d-th argument (1-based)."""
+    """The k-ary projection onto the d-th argument (1-based).  Cached: BoolFn
+    is frozen, so every caller may share one instance."""
     if not 1 <= d <= k:
         raise ValueError(f"projection index {d} out of range for arity {k}")
     return from_rule(k, lambda *bits: bits[d - 1])
 
 
+@cache
 def named_fn(name: str, k: int | None = None) -> BoolFn:
     """Constructor for the named functions used throughout.
 
     and/or are binary, and3/or3/maj/xor3 ternary, id unary, and prN is the
-    projection onto argument N of the requested arity.
+    projection onto argument N of the requested arity.  Cached like `pr`;
+    tables are built on first use, never at import.
     """
     fixed = {
         "id": from_rule(1, lambda a: a),

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 accept/success, 1 well-formed reject (not in the class, no
-aggregator found, census mismatch), 2 input error, 3 cap exceeded.  Machine
+aggregator found, census mismatch), 2 input error, 3 cap exceeded, 4 internal
+error (a failed re-verification, which is always a bug).  Machine
 output only under --json; the JSON records use the stable keys
 {class, verdict, witness, method, counterexample}.
 """
@@ -14,7 +15,7 @@ import sys
 
 from . import aggregate, oracle, recognize, synthesize
 from .domain import parse_domain, render_domain
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError, ParseError, VerificationError
 from .formula import DEFAULT_MODELS_CAP, models, parse_formula, render_formula
 
 
@@ -150,7 +151,7 @@ def cmd_synthesize(args) -> int:
     # re-parse and re-verify before declaring success
     text = render_formula(result.formula)
     if models(parse_formula(text), cap=args.cap_models) != d:
-        raise AssertionError("round-trip verification failed")
+        raise VerificationError("round-trip verification failed")
     if args.json:
         record = _record(result.kind, True, result.witness, "synthesis")
         record["formula"] = text
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import CapExceededError, EmptyDomainError, ParseError
@@ -163,21 +162,56 @@ def is_closed_under(d: Domain, f: "BoolFn", tuple_cap: int = DEFAULT_TUPLE_CAP) 
 
 def closure_counterexample(d: Domain, f: "BoolFn", tuple_cap: int = DEFAULT_TUPLE_CAP):
     """None if closed; otherwise a k-tuple of members whose image escapes d."""
-    k = f.arity
+    return escaping_tuple(d, (f.table,) * d.n, tuple_cap)
+
+
+def escaping_tuple(d: Domain, tables, tuple_cap: int = DEFAULT_TUPLE_CAP, own_rows: bool = False):
+    """The closure kernel: the first k-tuple of members, in the order
+    itertools.product yields them over d.members, whose componentwise
+    image under the per-coordinate tables (one 2^k-entry table per
+    coordinate) leaves d, or with ``own_rows`` is none of the tuple's own
+    rows; None if there is none.
+
+    The tables become 2^k minterm masks over the packed members: mask t holds
+    the coordinates whose table outputs 1 on input row t.  Fixing the first
+    argument to a member a Shannon-expands the masks to half as many,
+    ``M[s] ^ (a & (M[s] ^ M[half + s]))``, so the last argument is left with
+    one mask pair and each tuple costs a few bit operations and one probe,
+    whatever n is.  Nothing of size |d|^k is ever built.
+    """
+    k = len(tables[0]).bit_length() - 1
     if len(d.members) ** k > tuple_cap:
         raise CapExceededError(f"|d|^k = {len(d.members)}^{k} exceeds cap {tuple_cap}")
-    table = f.table
-    member_set = d.member_set
-    for rows in product(d.members, repeat=k):
-        out = []
-        for j in range(d.n):
-            idx = 0
-            for row in rows:
-                idx = (idx << 1) | row[j]
-            out.append(table[idx])
-        if tuple(out) not in member_set:
-            return rows
-    return None
+    masks = [0] * (1 << k)
+    for table in tables:
+        masks = [(m << 1) | b for m, b in zip(masks, table)]
+    ints = d.members_as_ints
+    member_set = frozenset(ints)
+
+    def search(masks, chosen):
+        half = len(masks) >> 1
+        low = masks[:half]
+        flips = [m ^ h for m, h in zip(low, masks[half:])]
+        if half == 1:
+            base, flip = low[0], flips[0]
+            if own_rows:
+                for c in ints:
+                    image = base ^ (flip & c)
+                    if image != c and image not in chosen:
+                        return chosen + (c,)
+            else:
+                for c in ints:
+                    if base ^ (flip & c) not in member_set:
+                        return chosen + (c,)
+            return None
+        for a in ints:
+            found = search([m ^ (a & f) for m, f in zip(low, flips)], chosen + (a,))
+            if found is not None:
+                return found
+        return None
+
+    found = search(masks, ())
+    return None if found is None else tuple(d.unpack(v) for v in found)
 
 
 def is_affine(d: Domain) -> bool:

@@ -1,8 +1,9 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: input problems (ParseError and plain
-ValueError) exit 2, resource caps exit 3, and VerificationError is a bug
-signal that is allowed to propagate.
+ValueError) exit 2, resource caps exit 3, and VerificationError, a bug
+signal, exits 4 with a one-line "internal error" message so that it never
+looks like a well-formed reject.
 """
 
 

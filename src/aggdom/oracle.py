@@ -5,9 +5,11 @@ census runs both paths over every small domain and reports any disagreement.
 Candidate tuples are enumerated lexicographically over a fixed component
 ordering (and < or < pr1 < pr2 for the binary set, and3 < or3 < maj < xor3
 for the ternary commutative set) so that returned witnesses are reproducible.
-Members are packed into machine integers and every candidate is applied with
-a handful of bitwise operations per tuple; any find is re-verified through
-the ordinary table-based closure check before being reported.
+Members are packed into machine integers.  Per domain, the member pairs
+(triples) are reduced once to a basis list of the images every component
+function can take, so checking a candidate is one pass of a few bitwise
+operations per basis entry; any find is re-verified through the shared
+closure kernel (`aggregate.is_aggregator`) before being reported.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .aggregate import (
     Aggregator,
@@ -66,30 +68,44 @@ class SearchSpaceSpec:
         raise ValueError(f"unknown search space {name!r}")
 
 
-def _coordinate_bits(d: Domain) -> list[int]:
-    return [1 << (d.n - v) for v in range(1, d.n + 1)]
+def _candidates(n: int, nsets: int):
+    """(digits, masks) for every candidate, digits in the order of
+    ``product(range(nsets), repeat=n)``; masks[g] holds the coordinates whose
+    component is function g (four masks, unused ones 0).  The masks are
+    summed in one int with an n-bit field per function, choosing g at
+    coordinate j setting bit j of field g, which keeps the per-candidate
+    work in C."""
+    full = (1 << n) - 1
+    fields = [[(1 << (n - 1 - j)) << (g * n) for g in range(nsets)] for j in range(n)]
+    for digits, packed in zip(product(range(nsets), repeat=n), map(sum, product(*fields))):
+        yield digits, (packed & full, packed >> n & full, packed >> 2 * n & full, packed >> 3 * n)
 
 
-def _binary_apply(x: int, y: int, masks: tuple[int, int, int, int]) -> int:
-    m_and, m_or, m_pr1, m_pr2 = masks
-    return (x & y & m_and) | ((x | y) & m_or) | (x & m_pr1) | (y & m_pr2)
+def _binary_basis(ints: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """(x&y, x|y, x, y) for every ordered pair of distinct members: the images
+    of and, or, pr1 and pr2.  Equal members map to themselves under any
+    unanimous function, so they need no check."""
+    return [(x & y, x | y, x, y) for x in ints for y in ints if x != y]
 
 
-def _ternary_apply(a: int, b: int, c: int, masks: tuple[int, int, int, int]) -> int:
-    m_and, m_or, m_maj, m_xor = masks
-    return (
-        (a & b & c & m_and)
-        | ((a | b | c) & m_or)
-        | (((a & b) | (b & c) | (a & c)) & m_maj)
-        | ((a ^ b ^ c) & m_xor)
+def _ternary_basis(ints: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """Distinct (and3, or3, maj, xor3) images over sorted member triples that
+    are not all equal.  All four functions are symmetric, so one order of a
+    triple settles every permutation of it."""
+    images = (
+        (a & b & c, a | b | c, (a & b) | (b & c) | (a & c), a ^ b ^ c)
+        for a, b, c in combinations_with_replacement(ints, 3)
+        if not a == b == c
     )
+    return list(dict.fromkeys(images))
 
 
-def _digit_masks(digits: tuple[int, ...], bits: list[int], nsets: int) -> tuple[int, ...]:
-    masks = [0] * nsets
-    for bit, digit in zip(bits, digits):
-        masks[digit] |= bit
-    return tuple(masks)
+def _closed(basis, masks: tuple[int, ...], member_set: frozenset[int]) -> bool:
+    m0, m1, m2, m3 = masks
+    for v0, v1, v2, v3 in basis:
+        if (v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) not in member_set:
+            return False
+    return True
 
 
 def _candidate_aggregator(digits: tuple[int, ...], names: tuple[str, ...], k: int) -> Aggregator:
@@ -109,18 +125,14 @@ def brute_binary(d: Domain, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Aggre
     aggregates d, in lexicographic candidate order; None when none exists."""
     if 4 ** d.n > candidate_cap:
         raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    bits = _coordinate_bits(d)
-    ints = d.members_as_ints
-    member_set = frozenset(ints)
+    basis = _binary_basis(d.members_as_ints)
+    member_set = frozenset(d.members_as_ints)
     all_pr1 = (2,) * d.n
     all_pr2 = (3,) * d.n
-    for digits in product(range(4), repeat=d.n):
+    for digits, masks in _candidates(d.n, 4):
         if digits == all_pr1 or digits == all_pr2:
             continue
-        masks = _digit_masks(digits, bits, 4)
-        if all(
-            _binary_apply(x, y, masks) in member_set for x in ints for y in ints
-        ):
+        if _closed(basis, masks, member_set):
             F = _candidate_aggregator(digits, BINARY_SET, 2)
             return _verify_find(F, d)
     return None
@@ -134,25 +146,10 @@ def brute_ternary_commutative(
     names = TERNARY_SET if allow_xor else TERNARY_SET_NO_XOR
     if len(names) ** d.n > candidate_cap:
         raise CapExceededError(f"{len(names)}^{d.n} candidates exceed cap {candidate_cap}")
-    bits = _coordinate_bits(d)
-    ints = d.members_as_ints
-    member_set = frozenset(ints)
-    digit_of = {name: TERNARY_SET.index(name) for name in names}
-    for chosen in product(names, repeat=d.n):
-        digits = tuple(digit_of[name] for name in chosen)
-        masks = _digit_masks(digits, bits, 4)
-        ok = True
-        for a in ints:
-            for b in ints:
-                for c in ints:
-                    if _ternary_apply(a, b, c, masks) not in member_set:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+    basis = _ternary_basis(d.members_as_ints)
+    member_set = frozenset(d.members_as_ints)
+    for digits, masks in _candidates(d.n, len(names)):
+        if _closed(basis, masks, member_set):
             F = _candidate_aggregator(digits, TERNARY_SET, 3)
             return _verify_find(F, d)
     return None
@@ -197,24 +194,14 @@ def _oracle_not_gendict(d: Domain, candidate_cap: int) -> Aggregator | None:
         return None
     if 4 ** d.n > candidate_cap:
         raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    bits = _coordinate_bits(d)
-    ints = d.members_as_ints
-    member_set = frozenset(ints)
-    for digits in product(range(4), repeat=d.n):
-        masks = _digit_masks(digits, bits, 4)
-        escapes = False
-        ok = True
-        for x in ints:
-            for y in ints:
-                z = _binary_apply(x, y, masks)
-                if z not in member_set:
-                    ok = False
-                    break
-                if z != x and z != y:
-                    escapes = True
-            if not ok:
-                break
-        if ok and escapes:
+    basis = _binary_basis(d.members_as_ints)
+    member_set = frozenset(d.members_as_ints)
+    for digits, masks in _candidates(d.n, 4):
+        m0, m1, m2, m3 = masks
+        if _closed(basis, masks, member_set) and any(
+            (v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) not in (v2, v3)
+            for v0, v1, v2, v3 in basis
+        ):
             F = _candidate_aggregator(digits, BINARY_SET, 2)
             return _verify_find(F, d, extra=lambda G: not is_generalized_dictatorship(G, d))
     if is_affine(d):

@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdom import (
     Aggregator,
@@ -28,6 +31,10 @@ from aggdom import (
     systematic,
 )
 from aggdom.aggregate import aggregator_counterexample, generalized_dictatorship_counterexample
+from aggdom.boolfn import BoolFn
+
+from test_domain import domains, tables
+from util import brute_closed
 
 
 def agg(*names, k=2):
@@ -289,3 +296,50 @@ def test_classify_degenerate_policies():
     assert result.degenerate_coordinates == ((3, 1),)
     assert result.possibility.holds
     assert is_aggregator(result.possibility.witness, d)
+
+
+def first_failure(F, d, accept):
+    """First member tuple in product order whose plainly computed image fails
+    accept(image, rows)."""
+    for rows in product(d.members, repeat=F.k):
+        image = tuple(f(*(row[j] for row in rows)) for j, f in enumerate(F.components))
+        if not accept(image, rows):
+            return rows
+    return None
+
+
+@st.composite
+def domain_and_aggregator(draw, unanimous):
+    d = draw(domains())
+    k = draw(st.integers(min_value=1, max_value=3))
+    components = []
+    for _ in range(d.n):
+        table = draw(tables(k))
+        if unanimous:
+            table = (0,) + table[1:-1] + (1,)
+        components.append(BoolFn(k, table))
+    return d, Aggregator(tuple(components))
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_and_aggregator(unanimous=True))
+def test_aggregator_counterexample_is_first_escape(case):
+    d, F = case
+    found = aggregator_counterexample(F, d)
+    assert found == first_failure(F, d, lambda image, rows: image in d.member_set)
+    assert is_aggregator(F, d) == (found is None)
+    f = F.components[0]
+    assert is_aggregator(systematic(f, d.n), d) == brute_closed(d.members, f)
+    with pytest.raises(CapExceededError):
+        aggregator_counterexample(F, d, tuple_cap=len(d) ** F.k - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_and_aggregator(unanimous=False))
+def test_generalized_dictatorship_counterexample_is_first_failure(case):
+    d, F = case
+    found = generalized_dictatorship_counterexample(F, d)
+    assert found == first_failure(F, d, lambda image, rows: image in rows)
+    assert is_generalized_dictatorship(F, d) == (found is None)
+    with pytest.raises(CapExceededError):
+        generalized_dictatorship_counterexample(F, d, tuple_cap=len(d) ** F.k - 1)

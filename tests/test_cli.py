@@ -155,3 +155,14 @@ def test_degenerate_domain_strict_vs_permissive(tmp_path, capsys):
     code = main(["classify-domain", str(path), "--permissive"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_internal_error_exit_four(files, capsys, monkeypatch):
+    from aggdom import aggregate
+
+    monkeypatch.setattr(aggregate, "is_aggregator", lambda *args, **kwargs: False)
+    code = main(["classify-domain", files["mod14.dom"]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err

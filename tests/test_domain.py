@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdom import (
     CapExceededError,
@@ -17,6 +20,8 @@ from aggdom import (
     rename_domain,
     render_domain,
 )
+from aggdom.boolfn import BoolFn
+from aggdom.domain import closure_counterexample
 
 from util import brute_closed
 
@@ -178,3 +183,43 @@ def test_is_affine_matches_ternary_closure(mod):
             members.add(tuple(rng.randint(0, 1) for _ in range(n)))
         d = Domain(n, tuple(members))
         assert is_affine(d) == is_closed_under(d, xor3)
+
+
+@st.composite
+def domains(draw, max_n=5, max_size=16):
+    """A random domain with n <= max_n and 1..max_size members."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = draw(
+        st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=max_size)
+    )
+    return Domain(n, [tuple((p >> (n - v)) & 1 for v in range(1, n + 1)) for p in rows])
+
+
+def tables(k):
+    return st.tuples(*[st.integers(min_value=0, max_value=1)] * (1 << k))
+
+
+def boolfns():
+    """Any table of arity 1..3, unanimous or not."""
+    return st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: tables(k).map(lambda table: BoolFn(k, table))
+    )
+
+
+def first_escape(d, f):
+    """First member tuple in product order whose image leaves d, by a plain loop."""
+    for rows in product(d.members, repeat=f.arity):
+        if tuple(f(*(row[j] for row in rows)) for j in range(d.n)) not in d.member_set:
+            return rows
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains(), boolfns())
+def test_closure_counterexample_is_first_escape(d, f):
+    found = closure_counterexample(d, f)
+    assert found == first_escape(d, f)
+    assert (found is None) == brute_closed(d.members, f)
+    assert closure_counterexample(d, f, tuple_cap=len(d) ** f.arity) == found
+    with pytest.raises(CapExceededError):
+        closure_counterexample(d, f, tuple_cap=len(d) ** f.arity - 1)

@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from aggdom import (
+    Aggregator,
     CapExceededError,
     Domain,
     brute_binary,
@@ -14,7 +17,17 @@ from aggdom import (
 )
 from aggdom.aggregate import is_dictatorial
 from aggdom.boolfn import fn_name
-from aggdom.oracle import SearchSpaceSpec, census_domains, oracle_verdicts
+from aggdom.oracle import (
+    BINARY_SET,
+    TERNARY_SET,
+    TERNARY_SET_NO_XOR,
+    SearchSpaceSpec,
+    _oracle_not_gendict,
+    census_domains,
+    oracle_verdicts,
+)
+
+from util import brute_closed
 
 
 def test_brute_binary_mod7_none(mod):
@@ -181,3 +194,67 @@ def test_census_json_schema():
     report = census(2)
     rows = json.loads(report.to_json())
     assert {"domain_bits", "members", "theory_verdicts", "oracle_verdicts", "match"} <= rows[0].keys()
+
+
+class Componentwise:
+    """One function per coordinate behind the single-function interface of
+    util.brute_closed, which evaluates coordinates 1..n in turn for every
+    tuple: call number i goes to component i mod n."""
+
+    def __init__(self, components):
+        self.components = components
+        self.arity = components[0].arity
+        self.calls = 0
+
+    def __call__(self, *bits):
+        f = self.components[self.calls % len(self.components)]
+        self.calls += 1
+        return f(*bits)
+
+
+def reference_first(d, names, k, accept=lambda components: True):
+    """First candidate over `names` in product order that brute_closed accepts
+    and that satisfies accept; no oracle or kernel code involved."""
+    for chosen in product(names, repeat=d.n):
+        components = tuple(named_fn(name, k) for name in chosen)
+        if brute_closed(d.members, Componentwise(components)) and accept(components):
+            return Aggregator(components)
+    return None
+
+
+def escapes(d, components):
+    """Some pair of members whose image is neither of them (plain loop)."""
+    for x in d.members:
+        for y in d.members:
+            image = tuple(f(a, b) for f, a, b in zip(components, x, y))
+            if image != x and image != y:
+                return True
+    return False
+
+
+def reference_not_gendict(d):
+    if len(d.members) < 3:
+        return None
+    found = reference_first(d, BINARY_SET, 2, lambda components: escapes(d, components))
+    # on an affine domain of 4 or more members, xor3 of three distinct members
+    # is none of them, so systematic xor3 is never a generalized dictatorship
+    if found is None and brute_closed(d.members, named_fn("xor3")):
+        found = Aggregator((named_fn("xor3"),) * d.n)
+    return found
+
+
+def test_oracle_witnesses_are_lexicographically_first():
+    """Every eligible n=3 domain and a seeded sample of n=4 domains: each
+    search returns the first witness of a plain product-order search, so the
+    per-domain basis lists lose and reorder nothing."""
+    dictators = ({named_fn("pr1", 2)}, {named_fn("pr2", 2)})
+    not_dictatorial = lambda components: set(components) not in dictators
+    domains = [d for _mask, d in census_domains(3)]
+    domains += [d for _mask, d in census_domains(4, mode="sample", sample=25, seed=31)]
+    for d in domains:
+        assert brute_binary(d) == reference_first(d, BINARY_SET, 2, not_dictatorial), d
+        assert brute_ternary_commutative(d) == reference_first(d, TERNARY_SET, 3), d
+        assert brute_ternary_commutative(d, allow_xor=False) == reference_first(
+            d, TERNARY_SET_NO_XOR, 3
+        ), d
+        assert _oracle_not_gendict(d, 1 << 20) == reference_not_gendict(d), d
