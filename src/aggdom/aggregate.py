@@ -5,6 +5,9 @@ Classification builds every witness from a syntactic witness produced by the
 synthesis pipeline, never by search; the brute-force search lives in the
 oracle module and is used only for cross-validation.  Every positive verdict
 re-verifies its witness with the closure check plus the property predicate.
+All verdicts of a domain are read from one analysis (one prime CNF), and a
+degenerate domain goes through the synthesis module's one degenerate-domain
+path: classified on its free coordinates, then lifted back.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from .boolfn import (
 from .domain import (
     DEFAULT_TUPLE_CAP,
     Domain,
-    degeneracy,
     escaping_tuple,
-    is_affine,
     is_closed_under,
     rename_domain,
 )
 from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError
 from .formula import DEFAULT_MODELS_CAP
-from .recognize import LpicWitness, RPHWitness, SeparabilityWitness, check_renamable_partially_horn, check_separable
-from .synthesize import SynthesisResult, affine_formula, lpic_analysis, lpic_for, pic_for, prime_cnf
+from .recognize import LpicWitness, RPHWitness, SeparabilityWitness
+from .synthesize import SynthesisResult, _analyse, _free_part, _lpic_from, _pic_from
+from .synthesize import prime_cnf  # noqa: F401  bench/tests/test_bench.py traces it at this binding
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,8 @@ def parse_aggregator(text: str) -> Aggregator:
                 header = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ParseError("bad aggregator header", lineno, 1) from None
+            if min(header) < 1:
+                raise ParseError("aggregator header needs n >= 1 and k >= 1", lineno, 1)
             continue
         n, k = header
         if parts[0] == "t":
@@ -346,47 +350,31 @@ def classify_domain(
     """
     if not d.members:
         raise EmptyDomainError("cannot classify an empty domain")
-    if len(d.members) < 2:
-        if policy == "strict":
-            raise DegenerateDomainError("a one-member domain is degenerate everywhere")
-    report = degeneracy(d)
-    if not report.non_degenerate:
-        if policy == "strict":
-            fixed = ", ".join(f"x{j}={b}" for j, b in report.fixed_coordinates)
-            raise DegenerateDomainError(f"domain is degenerate ({fixed}); use the permissive policy")
-        return _classify_permissive(d, report, cap, tuple_cap)
+    fixed, core, lift = _free_part(d, policy, cap)
+    if core is None:
+        raise DegenerateDomainError("every coordinate is fixed; nothing to classify")
+    inner = _classify(core, cap, tuple_cap)
+    return _lift_classification(inner, d, fixed, lift, tuple_cap) if fixed else inner
 
-    prime = prime_cnf(d, cap=cap).formula
-    affine = is_affine(d)
-    try:
-        separable = check_separable(prime)
-    except ValueError:
-        separable = None
-    rph = check_renamable_partially_horn(prime)
-    lpic_result, lpic_reason = lpic_analysis(d, cap=cap)
 
+def _classify(d: Domain, cap: int, tuple_cap: int) -> DomainClassification:
+    a = _analyse(d, cap)
+    pic_result = _pic_from(d, a, cap)
+    lpic_result, lpic_reason = _lpic_from(d, a, cap)
     n = d.n
-    nondictatorial = lambda F: not is_dictatorial(F)
-
-    # the possibility constraint, in the same branch order as pic_for
-    if affine:
-        pic_result = SynthesisResult(affine_formula(d, cap=cap), "affine", None)
-    elif separable is not None:
-        pic_result = SynthesisResult(prime, "separable", separable)
-    elif rph is not None:
-        pic_result = SynthesisResult(prime, "renamable-partially-horn", rph)
+    # the binary witness of the separable split or, failing that, of the RPH witness
+    if a.separable is not None:
+        binary = _binary_from_separable(n, a.separable)
+    elif a.rph is not None:
+        binary = _binary_from_rph(n, a.rph)
     else:
-        pic_result = None
+        binary = None
 
     if pic_result is None:
         possibility = Verdict(False, None, "synthesis-reject")
     else:
-        if pic_result.kind == "separable":
-            base = _binary_from_separable(n, separable)
-        elif pic_result.kind == "renamable-partially-horn":
-            base = _binary_from_rph(n, rph)
-        else:
-            base = systematic(named_fn("xor3"), n)
+        base = systematic(named_fn("xor3"), n) if a.affine else binary
+        nondictatorial = lambda F: not is_dictatorial(F)
         possibility_witness = _checked(base, d, nondictatorial, "possibility", tuple_cap)
         possibility = Verdict(True, possibility_witness, f"pic-{pic_result.kind}")
 
@@ -403,27 +391,16 @@ def classify_domain(
         else:
             strongdem = Verdict(False, None, "lpic-needs-xor-part")
     else:
-        local_possibility = Verdict(False, None, f"lpic-reject: {lpic_reason}")
-        anonymous = Verdict(False, None, f"lpic-reject: {lpic_reason}")
-        strongdem = Verdict(False, None, f"lpic-reject: {lpic_reason}")
+        local_possibility = anonymous = strongdem = Verdict(False, None, f"lpic-reject: {lpic_reason}")
 
     # monotone non-dictatorial: separable or renamable partially Horn
-    if separable is not None or rph is not None:
-        base = (
-            _binary_from_separable(n, separable)
-            if separable is not None
-            else _binary_from_rph(n, rph)
-        )
+    if binary is not None:
         witness = _checked(
-            base, d, lambda F: is_monotone(F) and not is_dictatorial(F), "monotone", tuple_cap
+            binary, d, lambda F: is_monotone(F) and not is_dictatorial(F), "monotone", tuple_cap
         )
         monotone = Verdict(True, witness, "separable-or-rph")
     else:
         monotone = Verdict(False, None, "no-separable-or-rph-constraint")
-
-    ngd = _classify_non_generalized_dictatorship(
-        d, affine, separable, rph, possibility, tuple_cap
-    )
 
     family = tuple(
         name for name in ("and", "or", "maj", "xor3") if is_closed_under(d, named_fn(name), tuple_cap)
@@ -436,40 +413,37 @@ def classify_domain(
         anonymous=anonymous,
         monotone_nondictatorial=monotone,
         strongdem=strongdem,
-        non_generalized_dictatorship=ngd,
+        non_generalized_dictatorship=_classify_non_generalized_dictatorship(d, a, binary, possibility, tuple_cap),
         systematic_family=family,
         pic=pic_result,
         lpic=lpic_result,
     )
 
 
-def _classify_non_generalized_dictatorship(
-    d: Domain, affine, separable, rph, possibility, tuple_cap
-) -> Verdict:
+def _classify_non_generalized_dictatorship(d: Domain, a, binary, possibility, tuple_cap) -> Verdict:
     if len(d.members) < 3:
         return Verdict(False, None, "two-element-domain")
     if not possibility.holds:
         return Verdict(False, None, "impossibility")
     n = d.n
-    not_gendict = lambda F: not is_generalized_dictatorship(F, d, tuple_cap)
-    if affine:
-        F = systematic(named_fn("xor3"), n)
-        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), "affine-minority")
-    if separable is not None:
-        F = _binary_from_separable(n, separable)
-        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), "non-symmetric-binary")
-    F = _binary_from_rph(n, rph)
-    if len(rph.admissible) < n:
-        # has a projection component, so it can never be a generalized dictatorship
-        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), "non-symmetric-binary")
-    if not is_generalized_dictatorship(F, d, tuple_cap):
-        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), "symmetric-binary")
+
+    def verified(F: Aggregator, method: str) -> Verdict:
+        not_gendict = lambda G: not is_generalized_dictatorship(G, d, tuple_cap)
+        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), method)
+
+    if a.affine:
+        return verified(systematic(named_fn("xor3"), n), "affine-minority")
+    if a.separable is not None or len(a.rph.admissible) < n:
+        # a separable split, or a projection component: never a generalized dictatorship
+        return verified(binary, "non-symmetric-binary")
+    if not is_generalized_dictatorship(binary, d, tuple_cap):
+        return verified(binary, "symmetric-binary")
     # All-symmetric witness that is a generalized dictatorship: complement the
     # or-coordinates, where the witness becomes all-and and the members form a
     # chain under bitwise dominance; joining everything below the top member
     # with or, and the top-only coordinates with and, yields the second-best
     # member on mixed inputs, which is never one of them.
-    renamed = rph.renamed
+    renamed = a.rph.renamed
     star_domain = rename_domain(d, renamed)
     members = sorted(star_domain.members, key=lambda row: (sum(row), row))
     for low, high in zip(members, members[1:]):
@@ -484,24 +458,15 @@ def _classify_non_generalized_dictatorship(
         else f
         for j, f in enumerate(swapped.components)
     )
-    F = Aggregator(components)
-    return Verdict(
-        True,
-        _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap),
-        "total-order-construction",
-    )
+    return verified(Aggregator(components), "total-order-construction")
 
 
-def _classify_permissive(d: Domain, report, cap, tuple_cap) -> DomainClassification:
-    from .domain import project
+def _lift_classification(inner: DomainClassification, d: Domain, fixed, lift, tuple_cap) -> DomainClassification:
+    """Extend a classification of the free coordinates back to d: witnesses
+    get `and`-type components on the fixed coordinates, constraints their
+    unit clauses."""
 
-    fixed = dict(report.fixed_coordinates)
-    free = [v for v in range(1, d.n + 1) if v not in fixed]
-    if not free:
-        raise DegenerateDomainError("every coordinate is fixed; nothing to classify")
-    inner = classify_domain(project(d, free), cap=cap, tuple_cap=tuple_cap)
-
-    def lift(verdict: Verdict) -> Verdict:
+    def lift_verdict(verdict: Verdict) -> Verdict:
         if verdict.witness is None:
             return verdict
         arity = verdict.witness.k
@@ -515,19 +480,16 @@ def _classify_permissive(d: Domain, report, cap, tuple_cap) -> DomainClassificat
             raise VerificationError("permissive witness extension failed")
         return Verdict(verdict.holds, F, verdict.method + "+fixed-coordinates", verdict.counterexample)
 
-    family = tuple(
-        name for name in ("and", "or", "maj", "xor3") if is_closed_under(d, named_fn(name), tuple_cap)
-    )
     return DomainClassification(
         size=len(d.members),
         degenerate_coordinates=tuple(sorted(fixed.items())),
-        possibility=lift(inner.possibility),
-        local_possibility=lift(inner.local_possibility),
-        anonymous=lift(inner.anonymous),
-        monotone_nondictatorial=lift(inner.monotone_nondictatorial),
-        strongdem=lift(inner.strongdem),
-        non_generalized_dictatorship=lift(inner.non_generalized_dictatorship),
-        systematic_family=family,
-        pic=pic_for(d, policy="permissive", cap=cap),
-        lpic=lpic_for(d, policy="permissive", cap=cap),
+        possibility=lift_verdict(inner.possibility),
+        local_possibility=lift_verdict(inner.local_possibility),
+        anonymous=lift_verdict(inner.anonymous),
+        monotone_nondictatorial=lift_verdict(inner.monotone_nondictatorial),
+        strongdem=lift_verdict(inner.strongdem),
+        non_generalized_dictatorship=lift_verdict(inner.non_generalized_dictatorship),
+        systematic_family=inner.systematic_family,
+        pic=lift(inner.pic),
+        lpic=lift(inner.lpic),
     )

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import aggregate, oracle, recognize, synthesize
-from .domain import parse_domain, render_domain
+from .domain import DEFAULT_TUPLE_CAP, parse_domain, render_domain
 from .errors import CapExceededError, ParseError, VerificationError
 from .formula import DEFAULT_MODELS_CAP, models, parse_formula, render_formula
 
@@ -112,7 +112,7 @@ def cmd_classify_formula(args) -> int:
 def cmd_classify_domain(args) -> int:
     d = parse_domain(_read(args.file))
     policy = "permissive" if args.permissive else "strict"
-    result = aggregate.classify_domain(d, policy=policy)
+    result = aggregate.classify_domain(d, policy=policy, cap=args.cap_models, tuple_cap=args.cap_tuples)
     records = []
     for name, verdict in [
         ("possibility", result.possibility),
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap-models", type=int, default=DEFAULT_MODELS_CAP,
                         help="max variable count for model enumeration")
-    parser.add_argument("--cap-tuples", type=int, default=10_000_000,
+    parser.add_argument("--cap-tuples", type=int, default=DEFAULT_TUPLE_CAP,
                         help="max |d|^k for closure checks")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,7 @@ closure kernel (`aggregate.is_aggregator`) before being reported.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -81,14 +82,17 @@ def _candidates(n: int, nsets: int):
         yield digits, (packed & full, packed >> n & full, packed >> 2 * n & full, packed >> 3 * n)
 
 
-def _binary_basis(ints: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+# Each basis is built once per domain: the census asks two searches of each.
+@functools.lru_cache(maxsize=1)
+def _binary_basis(ints: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """(x&y, x|y, x, y) for every ordered pair of distinct members: the images
     of and, or, pr1 and pr2.  Equal members map to themselves under any
     unanimous function, so they need no check."""
-    return [(x & y, x | y, x, y) for x in ints for y in ints if x != y]
+    return tuple((x & y, x | y, x, y) for x in ints for y in ints if x != y)
 
 
-def _ternary_basis(ints: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+@functools.lru_cache(maxsize=1)
+def _ternary_basis(ints: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """Distinct (and3, or3, maj, xor3) images over sorted member triples that
     are not all equal.  All four functions are symmetric, so one order of a
     triple settles every permutation of it."""
@@ -97,7 +101,7 @@ def _ternary_basis(ints: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
         for a, b, c in combinations_with_replacement(ints, 3)
         if not a == b == c
     )
-    return list(dict.fromkeys(images))
+    return tuple(dict.fromkeys(images))
 
 
 def _closed(basis, masks: tuple[int, ...], member_set: frozenset[int]) -> bool:

@@ -139,6 +139,14 @@ def check_separable(f: Formula) -> SeparabilityWitness | None:
     return SeparabilityWitness(part1, part2)
 
 
+def _separable_or_none(f: Formula) -> SeparabilityWitness | None:
+    """check_separable, with fewer than two occurring variables read as a reject."""
+    try:
+        return check_separable(f)
+    except ValueError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # partially Horn
 # ---------------------------------------------------------------------------
@@ -356,10 +364,13 @@ def check_renamable_horn(f: Formula) -> frozenset[int] | None:
     Accepts exactly when the renamable-partially-Horn witness covers every
     occurring variable; mixed and xor clauses therefore always reject.
     """
-    witness = check_renamable_partially_horn(f)
-    if witness is None or not f.occurring_variables() <= witness.admissible:
+    return _renamable_horn_from(f, check_renamable_partially_horn(f))
+
+
+def _renamable_horn_from(f: Formula, rph: RPHWitness | None) -> frozenset[int] | None:
+    if rph is None or not f.occurring_variables() <= rph.admissible:
         return None
-    return witness.renamed
+    return rph.renamed
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +380,9 @@ def check_renamable_horn(f: Formula) -> frozenset[int] | None:
 
 def check_pic(f: Formula) -> PicResult:
     """Run all three branches and report every witness found."""
-    try:
-        separable = check_separable(f)
-    except ValueError:
-        separable = None
-    rph = check_renamable_partially_horn(f)
-    affine = check_syntactic_class(f).affine
-    return PicResult(separable, rph, affine)
+    return PicResult(
+        _separable_or_none(f), check_renamable_partially_horn(f), check_syntactic_class(f).affine
+    )
 
 
 def verify_lpic(
@@ -421,8 +428,14 @@ def check_lpic(f: Formula) -> LpicWitness | None:
     into bijunctive and affine parts, and a partial V0 forces every
     remaining variable of a mixed or xor clause into V2.
     """
-    occurring = f.occurring_variables()
     flags = check_syntactic_class(f)
+    rph = None if flags.bijunctive or flags.affine else check_renamable_partially_horn(f)
+    return _lpic_from(f, flags, rph)
+
+
+def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> LpicWitness | None:
+    """check_lpic on the class flags and RPH witness of f, computed once by the caller."""
+    occurring = f.occurring_variables()
     if flags.bijunctive:
         witness = LpicWitness(frozenset(), frozenset(), frozenset(occurring), frozenset())
         return _verified_lpic(f, witness)
@@ -430,7 +443,6 @@ def check_lpic(f: Formula) -> LpicWitness | None:
         witness = LpicWitness(frozenset(), frozenset(), frozenset(), frozenset(occurring))
         return _verified_lpic(f, witness)
 
-    rph = check_renamable_partially_horn(f)
     v0 = frozenset() if rph is None else rph.admissible & occurring
     renamed = frozenset() if rph is None else rph.renamed & v0
 
@@ -496,24 +508,25 @@ class FormulaClassReport:
 
 
 def classify_formula(f: Formula) -> FormulaClassReport:
+    """Every class at once: each recognizer runs once, and the renamable-Horn,
+    pic and lpic answers are read off the shared RPH witness and separable
+    split."""
     flags = check_syntactic_class(f)
     notes = ()
     if any(c.kind is not ClauseKind.OR for c in f.clauses):
         notes = ("mixed-clause-extension",)
-    try:
-        separable = check_separable(f)
-    except ValueError:
-        separable = None
+    separable = _separable_or_none(f)
+    rph = check_renamable_partially_horn(f)
     return FormulaClassReport(
         horn=flags.horn,
         dual_horn=flags.dual_horn,
         bijunctive=flags.bijunctive,
         affine=flags.affine,
-        renamable_horn=check_renamable_horn(f),
+        renamable_horn=_renamable_horn_from(f, rph),
         separable=separable,
         partially_horn=check_partially_horn(f),
-        renamable_partially_horn=check_renamable_partially_horn(f),
-        pic=check_pic(f),
-        lpic=check_lpic(f),
+        renamable_partially_horn=rph,
+        pic=PicResult(separable, rph, flags.affine),
+        lpic=_lpic_from(f, flags, rph),
         notes=notes,
     )

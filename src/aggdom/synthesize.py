@@ -10,6 +10,13 @@ redundant are pruned greedily, longest first.  Each kept clause is a prime
 implicate and the model set is machine-checked to equal the input.  This
 route does not promise the O(|D| n) clause bound of the literature's
 dedicated construction, only correctness.
+
+Each domain is analysed once: one prime CNF, its affineness, separable split
+and renamable-partially-Horn witness (`_DomainAnalysis`), from which both the
+possibility and the local possibility constraint are read.  Degenerate
+domains take one path (`_free_part`): the policy is applied, the fixed
+coordinates are split off, and results on the free coordinates are lifted
+back with unit clauses.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DegeneracyReport, Domain, degeneracy, is_affine, project
+from .domain import Domain, degeneracy, is_affine, project
 from .errors import (
     CapExceededError,
     DegenerateDomainError,
@@ -37,9 +44,9 @@ from .recognize import (
     LpicWitness,
     RPHWitness,
     SeparabilityWitness,
+    _separable_or_none,
     check_lpic,
     check_renamable_partially_horn,
-    check_separable,
     variable_components,
     verify_lpic,
 )
@@ -182,10 +189,13 @@ def affine_formula(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> Formula | None:
     _require_members(d)
     if not is_affine(d):
         return None
-    prime = prime_cnf(d, cap=cap)
+    return _xor_rewrite(d, prime_cnf(d, cap=cap).formula, cap)
+
+
+def _xor_rewrite(d: Domain, prime: Formula, cap: int) -> Formula:
     clauses = []
     seen = set()
-    for clause in prime.formula.clauses:
+    for clause in prime.clauses:
         xor_clause = Clause(ClauseKind.XOR, xor_literals=clause.or_literals)
         key = _xor_normal_form(xor_clause)
         if key not in seen:
@@ -197,22 +207,48 @@ def affine_formula(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> Formula | None:
     return formula
 
 
-def _strict_policy(d: Domain, policy: str) -> DegeneracyReport:
-    report = degeneracy(d)
-    if not report.non_degenerate and policy == "strict":
-        fixed = ", ".join(f"x{j}={b}" for j, b in report.fixed_coordinates)
-        raise DegenerateDomainError(f"domain is degenerate ({fixed}); use the permissive policy to proceed")
-    return report
+@dataclass(frozen=True)
+class _DomainAnalysis:
+    """The artifacts every constraint on a non-degenerate domain is read from."""
+
+    prime: Formula
+    affine: bool
+    separable: SeparabilityWitness | None
+    rph: RPHWitness | None
 
 
-def _split_fixed(d: Domain, report: DegeneracyReport):
-    fixed = dict(report.fixed_coordinates)
+def _analyse(d: Domain, cap: int) -> _DomainAnalysis:
+    prime = prime_cnf(d, cap=cap).formula
+    return _DomainAnalysis(
+        prime, is_affine(d), _separable_or_none(prime), check_renamable_partially_horn(prime)
+    )
+
+
+def _free_part(d: Domain, policy: str, cap: int):
+    """The one path for degenerate domains: apply the policy, split off the
+    fixed coordinates, and lift results back.
+
+    Returns (fixed, core, lift): the fixed coordinates with their bits (empty
+    when d is non-degenerate); the domain to analyse, which is d itself, its
+    projection onto the free coordinates, or None when every coordinate is
+    fixed; and the map taking a SynthesisResult on the core back to d.  A
+    degenerate d raises DegenerateDomainError under the strict policy; the
+    permissive policy proceeds, and any other policy is a ValueError.
+    """
+    if policy not in ("strict", "permissive"):
+        raise ValueError(f"unknown policy {policy!r}; use 'strict' or 'permissive'")
+    fixed = dict(degeneracy(d).fixed_coordinates)
+    if not fixed:
+        return fixed, d, lambda result: result
+    if policy == "strict":
+        where = ", ".join(f"x{j}={b}" for j, b in sorted(fixed.items()))
+        raise DegenerateDomainError(f"domain is degenerate ({where}); use the permissive policy to proceed")
     free = [v for v in range(1, d.n + 1) if v not in fixed]
-    reduced = project(d, free) if free else None
-    return fixed, free, reduced
+    core = project(d, free) if free else None
+    return fixed, core, lambda result: _lift_result(result, d, fixed, free, cap)
 
 
-def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> SynthesisResult | None:
+def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free, cap: int) -> SynthesisResult | None:
     """Re-embed a reduced-domain synthesis into the full arity.
 
     Fixed coordinates come back as unit clauses (xor units when the class is
@@ -222,14 +258,8 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> Synt
     """
     if result is None:
         return None
-    if result.kind == "affine":
-        units = tuple(
-            Clause.exclusive_or(v if bit else -v) for v, bit in sorted(fixed.items())
-        )
-    else:
-        units = tuple(
-            Clause.disjunction(v if bit else -v) for v, bit in sorted(fixed.items())
-        )
+    unit = Clause.exclusive_or if result.kind == "affine" else Clause.disjunction
+    units = tuple(unit(v if bit else -v) for v, bit in sorted(fixed.items()))
 
     def lift_vars(variables):
         return frozenset(free[v - 1] for v in variables)
@@ -255,7 +285,7 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> Synt
             lift_vars(witness.v2),
         )
     formula = Formula(d.n, units + lifted_clauses)
-    if models(formula) != d:
+    if models(formula, cap=cap) != d:
         raise VerificationError("permissive re-embedding changed the model set")
     return SynthesisResult(
         formula,
@@ -278,31 +308,19 @@ def pic_for(d: Domain, policy: str = "strict", cap: int = DEFAULT_MODELS_CAP) ->
     machine-checked against the full input).
     """
     _require_members(d)
-    report = _strict_policy(d, policy)
-    if not report.non_degenerate:
-        fixed, free, reduced = _split_fixed(d, report)
-        if reduced is None:
-            units = Formula(d.n, tuple(
-                Clause.disjunction(v if bit else -v) for v, bit in sorted(fixed.items())
-            ))
-            witness = RPHWitness(frozenset(), frozenset(fixed))
-            return SynthesisResult(units, "renamable-partially-horn", witness,
-                                   fixed_coordinates=tuple(sorted(fixed.items())))
-        return _lift_result(pic_for(reduced, cap=cap), d, fixed, free)
+    _fixed, core, lift = _free_part(d, policy, cap)
+    if core is None:  # nothing free: the unit clauses alone, renaming nothing
+        return lift(SynthesisResult(Formula(d.n), "renamable-partially-horn", RPHWitness(frozenset(), frozenset())))
+    return lift(_pic_from(core, _analyse(core, cap), cap))
 
-    if is_affine(d):
-        formula = affine_formula(d, cap=cap)
-        return SynthesisResult(formula, "affine", None)
-    prime = prime_cnf(d, cap=cap).formula
-    try:
-        separable = check_separable(prime)
-    except ValueError:
-        separable = None
-    if separable is not None:
-        return SynthesisResult(prime, "separable", separable)
-    rph = check_renamable_partially_horn(prime)
-    if rph is not None:
-        return SynthesisResult(prime, "renamable-partially-horn", rph)
+
+def _pic_from(d: Domain, a: _DomainAnalysis, cap: int) -> SynthesisResult | None:
+    if a.affine:
+        return SynthesisResult(_xor_rewrite(d, a.prime, cap), "affine", None)
+    if a.separable is not None:
+        return SynthesisResult(a.prime, "separable", a.separable)
+    if a.rph is not None:
+        return SynthesisResult(a.prime, "renamable-partially-horn", a.rph)
     return None
 
 
@@ -325,20 +343,17 @@ def lpic_analysis(
     a mismatch is a genuine reject, not an error.
     """
     _require_members(d)
-    report = _strict_policy(d, policy)
-    if not report.non_degenerate:
-        fixed, free, reduced = _split_fixed(d, report)
-        if reduced is None:
-            base = pic_for(d, policy="permissive", cap=cap)
-            return SynthesisResult(base.formula, "lpic",
-                                   LpicWitness(frozenset(), frozenset(fixed), frozenset(), frozenset()),
-                                   base.fixed_coordinates), "accepted"
-        inner, reason = lpic_analysis(reduced, cap=cap)
-        return _lift_result(inner, d, fixed, free), reason
+    _fixed, core, lift = _free_part(d, policy, cap)
+    if core is None:  # nothing free: the unit clauses alone, all of them in V0
+        empty = frozenset()
+        return lift(SynthesisResult(Formula(d.n), "lpic", LpicWitness(empty, empty, empty, empty))), "accepted"
+    result, reason = _lpic_from(core, _analyse(core, cap), cap)
+    return lift(result), reason
 
-    prime = prime_cnf(d, cap=cap).formula
+
+def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult | None, str]:
+    prime, rph = a.prime, a.rph
     occurring = prime.occurring_variables()
-    rph = check_renamable_partially_horn(prime)
     admissible = rph.admissible if rph is not None else frozenset()
     v0 = frozenset(admissible & occurring)
     renamed = frozenset(rph.renamed & v0) if rph is not None else frozenset()

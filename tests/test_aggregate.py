@@ -11,6 +11,7 @@ from aggdom import (
     ParseError,
     apply,
     classify_domain,
+    degeneracy,
     diamond,
     is_aggregator,
     is_anonymous,
@@ -21,9 +22,11 @@ from aggdom import (
     is_projection_aggregator,
     is_strongdem,
     is_systematic,
+    lpic_for,
     models,
     named_fn,
     parse_aggregator,
+    pic_for,
     pr,
     render_aggregator,
     star,
@@ -34,7 +37,7 @@ from aggdom.aggregate import aggregator_counterexample, generalized_dictatorship
 from aggdom.boolfn import BoolFn
 
 from test_domain import domains, tables
-from util import brute_closed
+from util import brute_closed, count_calls
 
 
 def agg(*names, k=2):
@@ -296,6 +299,45 @@ def test_classify_degenerate_policies():
     assert result.degenerate_coordinates == ((3, 1),)
     assert result.possibility.holds
     assert is_aggregator(result.possibility.witness, d)
+
+
+def test_bad_policy_is_a_value_error(mod):
+    for policy in ("Strict", "lenient", ""):
+        for call in (classify_domain, pic_for, lpic_for):
+            with pytest.raises(ValueError, match="unknown policy"):
+                call(mod[11], policy=policy)
+
+
+def test_classify_domain_builds_one_prime_cnf(mod, monkeypatch):
+    from aggdom import synthesize
+
+    strict = [mod[k] for k in (7, 10, 11, 12, 13, 14)]  # mod14 is affine
+    permissive = [
+        Domain(4, [row + (1,) for row in mod[14].members]),
+        Domain(4, [(0,) + row for row in mod[12].members]),
+    ]
+    for policy, domains_ in (("strict", strict), ("permissive", permissive)):
+        for d in domains_:
+            calls = count_calls(monkeypatch, synthesize, "prime_cnf")
+            classify_domain(d, policy=policy)
+            assert len(calls) == 1, (policy, d)
+            monkeypatch.undo()
+
+
+def test_permissive_classification_lifts_the_synthesized_constraints():
+    from aggdom.oracle import _domain_from_mask
+
+    checked = 0
+    for n in (2, 3):
+        for mask in range(1, 1 << (1 << n)):
+            d = _domain_from_mask(mask, n)
+            if len(d.members) < 2 or degeneracy(d).non_degenerate:
+                continue
+            result = classify_domain(d, policy="permissive")
+            assert result.pic == pic_for(d, policy="permissive")
+            assert result.lpic == lpic_for(d, policy="permissive")
+            checked += 1
+    assert checked == 4 + 54  # degenerate n=2 and n=3 domains with >= 2 members
 
 
 def first_failure(F, d, accept):

@@ -146,6 +146,18 @@ def test_cap_exit_three(files, capsys):
     assert "cap exceeded" in captured.err
 
 
+def test_classify_domain_honours_caps(files, tmp_path, capsys):
+    # mod14 has 4 members, so a ternary closure check needs 4^3 = 64 tuples
+    code = main(["--cap-tuples", "5", "classify-domain", files["mod14.dom"]])
+    captured = capsys.readouterr()
+    assert code == 3 and "cap exceeded" in captured.err
+    n4 = tmp_path / "n4.dom"
+    n4.write_text("d 4\n0000\n0101\n1111\n")
+    code = main(["--cap-models", "2", "classify-domain", str(n4)])
+    captured = capsys.readouterr()
+    assert code == 3 and "cap exceeded" in captured.err
+
+
 def test_degenerate_domain_strict_vs_permissive(tmp_path, capsys):
     path = tmp_path / "deg.dom"
     path.write_text("d 2\n00\n01\n")

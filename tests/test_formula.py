@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggdom import (
     Clause,
@@ -15,6 +15,7 @@ from aggdom import (
     render_formula,
     rename,
 )
+from aggdom import parse_aggregator, parse_domain
 from aggdom.recognize import check_syntactic_class
 
 from util import brute_models, clause_true
@@ -232,3 +233,36 @@ def test_clause_kind_is_syntactic():
 def test_duplicate_clauses_preserved():
     f = parse_formula("p ecnf 2 2\n1 2 0\n1 2 0\n")
     assert len(f.clauses) == 2
+
+
+# Small numbers only: a well-formed aggregator header with a large arity asks
+# for a 2^k-entry table, which is a cost question, not a parse question.
+_PIECES = st.sampled_from(
+    ["0", "1", "-1", "2", "-3", "4", "-0", "x", "g", "t", "c", "p", "ecnf", "a", "d",
+     "0101", "1000", "01", "and", "maj", "pr1", "pr0"]
+)
+
+
+_HEADERS = st.one_of(
+    st.just(""),
+    st.builds(
+        lambda tag, numbers: " ".join([tag, *map(str, numbers)]) + "\n",
+        st.sampled_from(["p ecnf", "d", "a"]),
+        st.lists(st.integers(-2, 4), min_size=1, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=_HEADERS,
+    body=st.one_of(st.text(), st.lists(st.lists(_PIECES, max_size=4).map(" ".join)).map("\n".join)),
+)
+@example(header="a 1 -1\n", body="t 1")  # k < 1 would reach a negative shift
+@example(header="a 0 2\n", body="")  # n < 1 would reach an empty Aggregator
+def test_parsers_return_or_raise_parse_error(header, body):
+    for parse in (parse_formula, parse_domain, parse_aggregator):
+        try:
+            parse(header + body)
+        except ParseError:
+            pass

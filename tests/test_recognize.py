@@ -20,7 +20,7 @@ from aggdom import (
 )
 from aggdom.recognize import build_implication_graph
 
-from util import max_admissible_after_renaming
+from util import count_calls, max_admissible_after_renaming
 
 
 def test_syntactic_classes(phi):
@@ -310,3 +310,14 @@ def test_class_implications_on_random_formulas():
             assert report.renamable_partially_horn is not None
         if report.renamable_horn is not None:
             assert report.renamable_partially_horn is not None
+
+
+def test_classify_formula_runs_each_recognizer_once(phi, monkeypatch):
+    from aggdom import recognize
+
+    for f in phi.values():
+        rph = count_calls(monkeypatch, recognize, "check_renamable_partially_horn")
+        separable = count_calls(monkeypatch, recognize, "check_separable")
+        recognize.classify_formula(f)
+        assert (len(rph), len(separable)) == (1, 1)
+        monkeypatch.undo()

@@ -82,3 +82,17 @@ def max_admissible_after_renaming(formula):
         if found is not None and len(found) > len(best):
             best = found
     return best
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name (undone with the monkeypatch) and return the list that
+    collects the arguments of every call made through that binding."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
