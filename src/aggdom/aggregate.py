@@ -227,6 +227,8 @@ def parse_aggregator(text: str) -> Aggregator:
                 raise ParseError("bad aggregator header", lineno, 1) from None
             if min(header) < 1:
                 raise ParseError("aggregator header needs n >= 1 and k >= 1", lineno, 1)
+            if header[1] >= DEFAULT_TUPLE_CAP.bit_length():  # 2^k > cap, tested without 2^k
+                raise ParseError(f"aggregator arity k needs 2^k <= {DEFAULT_TUPLE_CAP}", lineno, 1)
             continue
         n, k = header
         if parts[0] == "t":

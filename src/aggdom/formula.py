@@ -112,9 +112,6 @@ class Clause:
         """Variables in literal order (or part first)."""
         return [lit.var for lit in self.literals()]
 
-    def positive_vars(self) -> set[int]:
-        return {lit.var for lit in self.literals() if lit.positive}
-
     def is_horn(self) -> bool:
         """At most one positive literal; only meaningful for OR clauses."""
         return self.kind is ClauseKind.OR and sum(l.positive for l in self.or_literals) <= 1
@@ -381,7 +378,9 @@ def _mask_positions_assignments(mask: int, n: int) -> list[tuple[int, ...]]:
 def rename(f: Formula, variables: Iterable[int]) -> Formula:
     """Flip the polarity of every literal whose variable is in `variables`.
 
-    Renaming is an involution and clause kinds are unchanged.
+    Renaming is an involution and clause kinds are unchanged.  Clauses with
+    no flipped variable are kept as they are, and f itself is returned when
+    no clause changes.
     """
     flip = set(variables)
     for v in flip:
@@ -391,13 +390,14 @@ def rename(f: Formula, variables: Iterable[int]) -> Formula:
     def rename_literals(literals):
         return tuple(l.negated() if l.var in flip else l for l in literals)
 
-    return Formula(
-        f.n,
-        tuple(
-            Clause(c.kind, rename_literals(c.or_literals), rename_literals(c.xor_literals))
-            for c in f.clauses
-        ),
+    clauses = tuple(
+        c if flip.isdisjoint(c.variables())
+        else Clause(c.kind, rename_literals(c.or_literals), rename_literals(c.xor_literals))
+        for c in f.clauses
     )
+    if all(new is old for new, old in zip(clauses, f.clauses)):
+        return f
+    return Formula(f.n, clauses)
 
 
 def flip_assignment(a: tuple[int, ...], variables: Iterable[int]) -> tuple[int, ...]:

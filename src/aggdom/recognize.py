@@ -14,7 +14,9 @@ that makes u's literal positive after renaming and tgt(v) the vertex that
 makes v's literal negative.  An SCC is bad when it contains both x and x'.
 Exclusive-or parts force their variables out of the admissible set, and
 or-parts of mixed clauses behave like occurrences in an inadmissible clause
-(their "positive after renaming" vertex is seeded dead).
+(their "positive after renaming" vertex is seeded dead).  Partially Horn
+(no renaming) is the same graph and zero propagation with every renaming
+vertex seeded dead as well.
 """
 
 from __future__ import annotations
@@ -125,6 +127,16 @@ def variable_components(clause_var_lists, variables) -> list[set[int]]:
     return sorted(groups.values(), key=min)
 
 
+def _group_by_component(components: list[set[int]], keyed_items) -> list[list]:
+    """Items per component, in input order, from (variable, item) pairs in
+    one pass over an index from variables to their component."""
+    component_of = {v: i for i, comp in enumerate(components) for v in comp}
+    groups: list[list] = [[] for _ in components]
+    for v, item in keyed_items:
+        groups[component_of[v]].append(item)
+    return groups
+
+
 def check_separable(f: Formula) -> SeparabilityWitness | None:
     """Partition of the occurring variables with no clause crossing it, or
     None when the variable graph is connected.  Linear in formula length."""
@@ -181,33 +193,11 @@ def verify_partially_horn(f: Formula, admissible: set[int]) -> bool:
 def check_partially_horn(f: Formula) -> frozenset[int] | None:
     """Maximal admissible set without renaming, or None.
 
-    Variables are excluded by fixpoint propagation: a positive occurrence in
-    a clause with two or more positive literals, in a clause that already
-    contains an excluded variable, or in a mixed clause, is disqualifying;
-    xor-part variables are excluded outright.
+    The renamable-partially-Horn zero propagation with every renaming vertex
+    seeded dead, so only the "admissible, kept as is" vertices can survive.
     """
-    excluded: set[int] = set()
-    for clause in f.clauses:
-        if clause.kind is not ClauseKind.OR:
-            excluded.update(l.var for l in clause.xor_literals)
-            excluded.update(l.var for l in clause.or_literals if l.positive)
-    changed = True
-    while changed:
-        changed = False
-        for clause in f.clauses:
-            if clause.kind is not ClauseKind.OR:
-                continue
-            positives = clause.positive_vars()
-            inadmissible = len(positives) >= 2 or any(v in excluded for v in clause.variables())
-            if inadmissible and not positives <= excluded:
-                excluded.update(positives)
-                changed = True
-    admissible = frozenset(range(1, f.n + 1)) - excluded
-    if not admissible:
-        return None
-    if not verify_partially_horn(f, set(admissible)):
-        raise VerificationError("partially-Horn witness failed re-verification")
-    return admissible
+    witness = _greatest_admissible(f, renaming=False)
+    return None if witness is None else witness.admissible
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +212,6 @@ def _src_vertex(lit) -> int:
     return 2 * (lit.var - 1) + (1 if lit.positive else 0)
 
 
-def _tgt_vertex(lit) -> int:
-    return 2 * (lit.var - 1) + (0 if lit.positive else 1)
-
-
 def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
     """Adjacency lists over the 2n renaming vertices plus the dead seeds."""
     adj: list[list[int]] = [[] for _ in range(2 * f.n)]
@@ -234,16 +220,12 @@ def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
         if clause.kind is ClauseKind.OR:
             literals = clause.or_literals
             sources = [_src_vertex(l) for l in literals]
-            targets = [_tgt_vertex(l) for l in literals]
-            # skew symmetry: the pair (v, u) contributes exactly the edge
-            # counterpart(tgt(u)) -> counterpart(src(v)), because src and tgt
-            # of one literal are always counterparts of each other
-            assert all(s ^ 1 == t for s, t in zip(sources, targets))
+            # tgt(l) is the counterpart of src(l), which gives skew symmetry:
+            # the pair (v, u) contributes exactly the edge
+            # counterpart(tgt(u)) -> counterpart(src(v))
+            targets = [s ^ 1 for s in sources]
             for i, src in enumerate(sources):
-                bucket = adj[src]
-                for j, tgt in enumerate(targets):
-                    if i != j:
-                        bucket.append(tgt)
+                adj[src].extend(targets[:i] + targets[i + 1 :])
         else:
             for l in clause.xor_literals:
                 dead.add(2 * (l.var - 1))
@@ -314,8 +296,12 @@ def _tarjan(nvertices: int, adj: list[list[int]]) -> tuple[list[list[int]], list
     return comps, comp_id
 
 
-def check_renamable_partially_horn(f: Formula) -> RPHWitness | None:
+def _greatest_admissible(f: Formula, renaming: bool) -> RPHWitness | None:
+    """Renamed set and greatest admissible set read off the implication graph,
+    re-verified; without renaming, every renaming vertex is an extra dead seed."""
     adj, dead = build_implication_graph(f)
+    if not renaming:
+        dead.update(range(0, 2 * f.n, 2))
     comps, comp_id = _tarjan(2 * f.n, adj)
 
     # An SCC is zeroed when it is bad (contains some x together with x'),
@@ -323,17 +309,9 @@ def check_renamable_partially_horn(f: Formula) -> RPHWitness | None:
     # reverse topological, so successors are already decided.
     zero = [False] * len(comps)
     for cid, comp in enumerate(comps):
-        members = set(comp)
-        z = any(v ^ 1 in members for v in comp) or any(v in dead for v in comp)
-        if not z:
-            for v in comp:
-                for w in adj[v]:
-                    if comp_id[w] != cid and zero[comp_id[w]]:
-                        z = True
-                        break
-                if z:
-                    break
-        zero[cid] = z
+        zero[cid] = any(comp_id[v ^ 1] == cid or v in dead for v in comp) or any(
+            zero[comp_id[w]] for v in comp for w in adj[v]
+        )
 
     UNSET = -1
     value = [UNSET] * (2 * f.n)
@@ -354,8 +332,12 @@ def check_renamable_partially_horn(f: Formula) -> RPHWitness | None:
     if not admissible:
         return None
     if not verify_partially_horn(rename(f, renamed), set(admissible)):
-        raise VerificationError("renamable-partially-Horn witness failed re-verification")
+        raise VerificationError("partially-Horn witness failed re-verification")
     return RPHWitness(renamed, admissible)
+
+
+def check_renamable_partially_horn(f: Formula) -> RPHWitness | None:
+    return _greatest_admissible(f, renaming=True)
 
 
 def check_renamable_horn(f: Formula) -> frozenset[int] | None:
@@ -456,8 +438,8 @@ def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> Lpi
             return None
         v1: set[int] = set()
         v2: set[int] = set()
-        for comp in components:
-            clauses = [c for c in f.clauses if set(c.variables()) & comp]
+        keyed = ((vs[0], c) for c in f.clauses if (vs := c.variables()))
+        for comp, clauses in zip(components, _group_by_component(components, keyed)):
             if all(c.kind is ClauseKind.OR and len(c.or_literals) <= 2 for c in clauses):
                 v1 |= comp
             elif all(c.kind is ClauseKind.XOR for c in clauses):

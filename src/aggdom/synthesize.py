@@ -44,6 +44,7 @@ from .recognize import (
     LpicWitness,
     RPHWitness,
     SeparabilityWitness,
+    _group_by_component,
     _separable_or_none,
     check_lpic,
     check_renamable_partially_horn,
@@ -362,7 +363,6 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
         witness = LpicWitness(renamed, frozenset(occurring), frozenset(), frozenset())
         return _verified(prime, d, witness, cap), "accepted"
 
-    inside = [c for c in prime.clauses if set(c.variables()) <= v0]
     outside = [c for c in prime.clauses if not set(c.variables()) <= v0]
     tails = {
         id(c): [l for l in c.or_literals if l.var not in v0] for c in outside
@@ -375,8 +375,8 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
     v1: set[int] = set()
     v2: set[int] = set()
     rewrite: set[int] = set()
-    for comp in components:
-        comp_clauses = [c for c in outside if tails[id(c)] and tails[id(c)][0].var in comp]
+    keyed = ((tails[id(c)][0].var, c) for c in outside if tails[id(c)])
+    for comp, comp_clauses in zip(components, _group_by_component(components, keyed)):
         if all(len(tails[id(c)]) <= 2 for c in comp_clauses):
             v1 |= comp
             continue

@@ -35,6 +35,7 @@ from aggdom import (
 )
 from aggdom.aggregate import aggregator_counterexample, generalized_dictatorship_counterexample
 from aggdom.boolfn import BoolFn
+from aggdom.domain import DEFAULT_TUPLE_CAP
 
 from test_domain import domains, tables
 from util import brute_closed, count_calls
@@ -211,6 +212,17 @@ def test_aggregator_file_errors():
         parse_aggregator("a 1 2\nt 010\n")  # wrong table width
     with pytest.raises(ParseError):
         parse_aggregator("b 1 2\nand\n")
+
+
+def test_aggregator_arity_bounded_by_tuple_cap():
+    # checking a k-ary aggregator on two members visits 2^k tuples, so an
+    # arity with 2^k above the default tuple cap is refused before any table
+    assert 1 << 23 <= DEFAULT_TUPLE_CAP < 1 << 24
+    for k in (24, 30, 10**6):
+        with pytest.raises(ParseError, match=r"2\^k"):
+            parse_aggregator(f"a 1 {k}\npr1\n")
+    with pytest.raises(ParseError, match="declares 1 components"):
+        parse_aggregator("a 1 23\n")  # the largest arity passes the header
 
 
 def test_classify_mod12(mod):

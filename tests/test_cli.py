@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggdom.cli import main
 from aggdom import parse_domain, parse_formula, models
@@ -178,3 +179,58 @@ def test_internal_error_exit_four(files, capsys, monkeypatch):
     assert code == 4
     assert captured.err.startswith("internal error: ")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+# Header numbers stay at 8 or below so that `models` and the prime-CNF sweep
+# behind `classify-domain` and `synthesize` stay fast on every example.  Most
+# files are near-valid (rows, clauses or components that fit the header, with
+# some noise lines), so that the commands behind the parsers run as well.
+_NOISE = st.lists(st.sampled_from(["0", "-1", "x", "g", "t", "c", "and", "0110"]), max_size=4).map(" ".join)
+
+
+@st.composite
+def _fuzzed_files(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text())
+    tag = draw(st.sampled_from(["p ecnf", "d", "a"]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([2, 3]))
+    if tag == "d":
+        line = st.text(alphabet="01", min_size=n, max_size=n)
+    elif tag == "p ecnf":
+        line = st.builds(
+            lambda kind, vs, signs: kind + " ".join(str(v if pos else -v) for v, pos in zip(vs, signs)) + " 0",
+            st.sampled_from(["", "", "x ", "g -1 x "]),
+            st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
+            st.lists(st.booleans(), min_size=3, max_size=3),
+        )
+    else:
+        names = ["and", "or", "pr1", "pr2", "t 0111"] if k == 2 else ["maj", "xor3", "and3", "pr3"]
+        line = st.sampled_from(names)
+    if draw(st.booleans()):
+        line = st.one_of(line, _NOISE)
+    lines = draw(st.lists(line, max_size=4 if tag == "a" else 8, unique=tag == "d"))
+    numbers = {"d": [n], "p ecnf": [n, len(lines)], "a": [len(lines), k]}[tag]
+    if draw(st.booleans()):
+        numbers = draw(st.lists(st.integers(-1, 8), min_size=1, max_size=2))
+    return " ".join([tag, *map(str, numbers)]) + "\n" + "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_fuzzed_files())
+def test_cli_exit_codes_on_fuzzed_files(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("fuzz")
+    fuzzed, domain, agg = folder / "fuzzed", folder / "mod14.dom", folder / "maj.agg"
+    fuzzed.write_text(text)
+    domain.write_text(MOD14)
+    agg.write_text("a 3 3\nmaj\nmaj\nmaj\n")
+    runs = [
+        ["classify-formula", str(fuzzed)],
+        ["classify-domain", str(fuzzed), "--permissive"],
+        ["synthesize", str(fuzzed)],
+        ["models", str(fuzzed)],
+        ["aggregator", "check", str(domain), str(fuzzed)],
+        ["aggregator", "check", str(fuzzed), str(agg)],
+    ]
+    for argv in runs:
+        assert main(argv) in {0, 1, 2, 3}, argv

@@ -151,8 +151,17 @@ def test_rename_phi1_is_horn(phi):
 
 def test_rename_identity_and_involution(phi):
     for f in phi.values():
-        assert rename(f, set()) == f
+        assert rename(f, set()) is f
         assert rename(rename(f, {1, 2}), {1, 2}) == f
+
+
+def test_rename_keeps_unchanged_clauses():
+    f = parse_formula("p ecnf 4 2\n1 -2 0\nx 2 3 0\n")
+    assert rename(f, {4}) is f  # x4 does not occur
+    renamed = rename(f, {3})
+    assert renamed.clauses[0] is f.clauses[0]
+    assert renamed.clauses[1] == Clause.exclusive_or(2, -3)
+    assert rename(renamed, {3}) == f
 
 
 def test_rename_out_of_range(phi):

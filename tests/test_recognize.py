@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from aggdom import (
 )
 from aggdom.recognize import build_implication_graph
 
-from util import count_calls, max_admissible_after_renaming
+from util import count_calls, max_admissible
 
 
 def test_syntactic_classes(phi):
@@ -256,11 +257,54 @@ def test_admissible_set_is_maximal_desk_scale():
             )
         f = Formula(n, tuple(clauses))
         witness = check_renamable_partially_horn(f)
-        best = max_admissible_after_renaming(f)
+        best = max_admissible(f)
         if witness is None:
             assert best == frozenset()
         else:
             assert len(witness.admissible) == len(best)
+
+
+def test_partially_horn_is_the_maximum_without_renaming():
+    # without renaming, admissible sets are closed under union, so the
+    # largest one is the unique maximum
+    rng = random.Random(31)
+    for _ in range(1000):
+        f = _random_formula(rng)
+        assert (check_partially_horn(f) or frozenset()) == max_admissible(f, renaming=False)
+
+
+def _chain(k):
+    # links (x_{i+1} v -x_i), last link first, then (x1 v x_{k+1}): every
+    # exclusion reaches the next variable only through the link listed before
+    links = tuple(Clause.disjunction(i + 1, -i) for i in range(k, 0, -1))
+    return Formula(k + 1, links + (Clause.disjunction(1, k + 1),))
+
+
+def _split_components(k):
+    # k unsatisfiable 2-clause cores and k two-variable xor clauses, so the
+    # lpic witness comes from the component split with an empty V0
+    clauses = []
+    for a in range(1, 4 * k, 4):
+        b, c, d = a + 1, a + 2, a + 3
+        clauses += [Clause.disjunction(*lits) for lits in ((a, b), (a, -b), (-a, b), (-a, -b))]
+        clauses.append(Clause.exclusive_or(c, d))
+    return Formula(4 * k, tuple(clauses))
+
+
+def test_partially_horn_chain_is_linear():
+    f = _chain(3000)
+    start = time.perf_counter()
+    assert check_partially_horn(f) is None
+    assert time.perf_counter() - start < 2.0
+
+
+def test_lpic_component_split_is_linear():
+    f = _split_components(1000)
+    start = time.perf_counter()
+    report = classify_formula(f)
+    assert time.perf_counter() - start < 2.0
+    assert report.lpic is not None and not report.lpic.v0
+    assert len(report.lpic.v1) == len(report.lpic.v2) == 2000
 
 
 def test_mixed_clause_extension_note():

@@ -65,22 +65,21 @@ def is_prime_implicate(signed_literals, members):
     return True
 
 
-def max_admissible_after_renaming(formula):
-    """Largest admissible set over all renamings, by the exclusion fixpoint.
+def max_admissible(formula, renaming=True):
+    """Largest admissible set by brute force over verify_partially_horn.
 
-    Admissible sets are closed under union, so per renaming there is one
-    maximal set, and renamings only matter on the set itself.
+    Each variable is left out, kept or (with renaming) renamed, so this is
+    3^n (or 2^n) checks; the renaming only matters on the set itself.
     """
     from aggdom.formula import rename
-    from aggdom.recognize import check_partially_horn
+    from aggdom.recognize import verify_partially_horn
 
     best = frozenset()
-    variables = sorted(formula.occurring_variables())
-    for pattern in range(1 << len(variables)):
-        flipped = {v for i, v in enumerate(variables) if pattern >> i & 1}
-        found = check_partially_horn(rename(formula, flipped))
-        if found is not None and len(found) > len(best):
-            best = found
+    for choice in product(range(3 if renaming else 2), repeat=formula.n):
+        admissible = {v for v, c in enumerate(choice, start=1) if c}
+        renamed = {v for v, c in enumerate(choice, start=1) if c == 2}
+        if len(admissible) > len(best) and verify_partially_horn(rename(formula, renamed), admissible):
+            best = frozenset(admissible)
     return best
 
 
