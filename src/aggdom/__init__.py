@@ -6,7 +6,6 @@ from .formula import (
     Clause,
     ClauseKind,
     Formula,
-    Literal,
     evaluate,
     flip_assignment,
     models,

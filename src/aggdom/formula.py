@@ -9,6 +9,11 @@ A clause is one of:
   exactly when every or-literal is false and an even number of xor-literals
   are true.
 
+A literal is a signed DIMACS int: ``v`` is x_v and ``-v`` its negation, and
+0 is never a literal.  A clause stores its or part and its xor part as two
+tuples of such ints (`Clause.or_part`, `Clause.xor_part`); renaming a set of
+variables flips the signs of their literals and nothing else.
+
 All variables inside a single clause must be distinct.  Clause kind is part
 of the syntax: a one-literal OR clause and a one-literal XOR clause evaluate
 identically but are different objects, because the recognizers downstream
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapExceededError, ParseError
 
@@ -34,90 +39,59 @@ class ClauseKind(enum.Enum):
     GENERALIZED = "generalized"
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A signed occurrence of a 1-based variable."""
-
-    var: int
-    positive: bool
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    @classmethod
-    def of(cls, signed: int) -> "Literal":
-        if signed == 0:
-            raise ValueError("0 is not a literal")
-        return cls(abs(signed), signed > 0)
-
-    @property
-    def signed(self) -> int:
-        return self.var if self.positive else -self.var
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
-    def __repr__(self):
-        return f"Literal({self.signed})"
-
-
-def lits(*signed: int) -> tuple[Literal, ...]:
-    return tuple(Literal.of(s) for s in signed)
-
-
 @dataclass(frozen=True)
 class Clause:
+    """One clause; each part is a tuple of signed DIMACS literals."""
+
     kind: ClauseKind
-    or_literals: tuple[Literal, ...] = ()
-    xor_literals: tuple[Literal, ...] = ()
+    or_part: tuple[int, ...] = ()
+    xor_part: tuple[int, ...] = ()
 
     def __post_init__(self):
+        literals = self.or_part + self.xor_part
+        if 0 in literals:
+            raise ValueError("0 is not a literal")
         if self.kind is ClauseKind.OR:
-            if self.xor_literals:
+            if self.xor_part:
                 raise ValueError("OR clause must not have an xor part")
-            if not self.or_literals:
+            if not self.or_part:
                 raise ValueError("OR clause needs at least one literal")
         elif self.kind is ClauseKind.XOR:
-            if self.or_literals:
+            if self.or_part:
                 raise ValueError("XOR clause must not have an or part")
-            if not self.xor_literals:
+            if not self.xor_part:
                 raise ValueError("XOR clause needs at least one literal")
         else:
-            if not self.or_literals or not self.xor_literals:
+            if not self.or_part or not self.xor_part:
                 raise ValueError("generalized clause needs both parts non-empty")
         seen = set()
-        for lit in self.literals():
-            if lit.var in seen:
-                raise ValueError(f"variable x{lit.var} repeated within a clause")
-            seen.add(lit.var)
+        for v in map(abs, literals):
+            if v in seen:
+                raise ValueError(f"variable x{v} repeated within a clause")
+            seen.add(v)
 
     @classmethod
     def disjunction(cls, *signed: int) -> "Clause":
-        return cls(ClauseKind.OR, or_literals=lits(*signed))
+        return cls(ClauseKind.OR, or_part=signed)
 
     @classmethod
     def exclusive_or(cls, *signed: int) -> "Clause":
-        return cls(ClauseKind.XOR, xor_literals=lits(*signed))
+        return cls(ClauseKind.XOR, xor_part=signed)
 
     @classmethod
     def generalized(cls, or_part: Iterable[int], xor_part: Iterable[int]) -> "Clause":
-        return cls(ClauseKind.GENERALIZED, lits(*or_part), lits(*xor_part))
-
-    def literals(self) -> Iterator[Literal]:
-        yield from self.or_literals
-        yield from self.xor_literals
+        return cls(ClauseKind.GENERALIZED, tuple(or_part), tuple(xor_part))
 
     def variables(self) -> list[int]:
         """Variables in literal order (or part first)."""
-        return [lit.var for lit in self.literals()]
+        return list(map(abs, self.or_part + self.xor_part))
 
     def is_horn(self) -> bool:
         """At most one positive literal; only meaningful for OR clauses."""
-        return self.kind is ClauseKind.OR and sum(l.positive for l in self.or_literals) <= 1
+        return self.kind is ClauseKind.OR and sum(lit > 0 for lit in self.or_part) <= 1
 
     def is_dual_horn(self) -> bool:
-        return self.kind is ClauseKind.OR and sum(not l.positive for l in self.or_literals) <= 1
+        return self.kind is ClauseKind.OR and sum(lit < 0 for lit in self.or_part) <= 1
 
 
 @dataclass(frozen=True)
@@ -137,12 +111,12 @@ class Formula:
         if not isinstance(self.clauses, tuple):
             object.__setattr__(self, "clauses", tuple(self.clauses))
         for clause in self.clauses:
-            for lit in clause.literals():
-                if lit.var > self.n:
-                    raise ValueError(f"variable x{lit.var} out of range (n={self.n})")
+            for v in clause.variables():
+                if v > self.n:
+                    raise ValueError(f"variable x{v} out of range (n={self.n})")
 
     def occurring_variables(self) -> set[int]:
-        return {lit.var for clause in self.clauses for lit in clause.literals()}
+        return {v for clause in self.clauses for v in clause.variables()}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +182,7 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("negative clause count", head[1], head[2])
     pos += 4
 
-    def read_literals(stop_tokens: set[str]) -> tuple[list[Literal], tuple[str, int, int]]:
+    def read_literals(stop_tokens: set[str]) -> tuple[list[int], tuple[str, int, int]]:
         found = []
         while True:
             token = peek()
@@ -221,7 +195,7 @@ def parse_formula(text: str) -> Formula:
                 return found, token
             if abs(value) > nvars:
                 raise ParseError(f"variable x{abs(value)} out of range (n={nvars})", token[1], token[2])
-            found.append(Literal.of(value))
+            found.append(value)
             advance()
 
     def advance():
@@ -239,7 +213,7 @@ def parse_formula(text: str) -> Formula:
                 if end[0] != "0":
                     raise ParseError(f"unexpected token {end[0]!r} in xor clause", end[1], end[2])
                 advance()
-                clause = Clause(ClauseKind.XOR, xor_literals=tuple(xor_part))
+                clause = Clause(ClauseKind.XOR, xor_part=tuple(xor_part))
             elif token[0] == "g":
                 advance()
                 or_part, stop = read_literals({"x"})
@@ -256,7 +230,7 @@ def parse_formula(text: str) -> Formula:
                 if end[0] != "0":
                     raise ParseError(f"unexpected token {end[0]!r} in clause", end[1], end[2])
                 advance()
-                clause = Clause(ClauseKind.OR, or_literals=tuple(or_part))
+                clause = Clause(ClauseKind.OR, or_part=tuple(or_part))
         except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
@@ -276,10 +250,10 @@ def render_formula(f: Formula) -> str:
         if clause.kind is ClauseKind.GENERALIZED:
             parts.append("g")
         if clause.kind is ClauseKind.OR or clause.kind is ClauseKind.GENERALIZED:
-            parts.extend(str(l.signed) for l in clause.or_literals)
+            parts.extend(map(str, clause.or_part))
         if clause.kind is not ClauseKind.OR:
             parts.append("x")
-            parts.extend(str(l.signed) for l in clause.xor_literals)
+            parts.extend(map(str, clause.xor_part))
         parts.append("0")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -291,10 +265,10 @@ def render_formula(f: Formula) -> str:
 
 
 def clause_satisfied(clause: Clause, a: tuple[int, ...]) -> bool:
-    or_hit = any(a[l.var - 1] == (1 if l.positive else 0) for l in clause.or_literals)
+    or_hit = any(a[abs(l) - 1] == (l > 0) for l in clause.or_part)
     if clause.kind is ClauseKind.OR:
         return or_hit
-    parity = sum(a[l.var - 1] == (1 if l.positive else 0) for l in clause.xor_literals) & 1
+    parity = sum(a[abs(l) - 1] == (l > 0) for l in clause.xor_part) & 1
     if clause.kind is ClauseKind.XOR:
         return parity == 1
     return or_hit or parity == 1
@@ -332,13 +306,13 @@ def satisfying_mask(f: Formula, masks: list[int] | None = None) -> int:
     result = full
     for clause in f.clauses:
         or_mask = 0
-        for l in clause.or_literals:
-            m = masks[l.var - 1]
-            or_mask |= m if l.positive else (full & ~m)
+        for l in clause.or_part:
+            m = masks[abs(l) - 1]
+            or_mask |= m if l > 0 else (full & ~m)
         xor_mask = 0
-        for l in clause.xor_literals:
-            m = masks[l.var - 1]
-            xor_mask ^= m if l.positive else (full & ~m)
+        for l in clause.xor_part:
+            m = masks[abs(l) - 1]
+            xor_mask ^= m if l > 0 else (full & ~m)
         if clause.kind is ClauseKind.OR:
             clause_mask = or_mask
         elif clause.kind is ClauseKind.XOR:
@@ -387,12 +361,12 @@ def rename(f: Formula, variables: Iterable[int]) -> Formula:
         if not 1 <= v <= f.n:
             raise ValueError(f"variable x{v} out of range (n={f.n})")
 
-    def rename_literals(literals):
-        return tuple(l.negated() if l.var in flip else l for l in literals)
+    def flip_signs(part):
+        return tuple(-l if abs(l) in flip else l for l in part)
 
     clauses = tuple(
         c if flip.isdisjoint(c.variables())
-        else Clause(c.kind, rename_literals(c.or_literals), rename_literals(c.xor_literals))
+        else Clause(c.kind, flip_signs(c.or_part), flip_signs(c.xor_part))
         for c in f.clauses
     )
     if all(new is old for new, old in zip(clauses, f.clauses)):
@@ -403,4 +377,7 @@ def rename(f: Formula, variables: Iterable[int]) -> Formula:
 def flip_assignment(a: tuple[int, ...], variables: Iterable[int]) -> tuple[int, ...]:
     """Complement the coordinates in `variables` (1-based)."""
     flip = set(variables)
+    for v in flip:
+        if not 1 <= v <= len(a):
+            raise ValueError(f"variable x{v} out of range (n={len(a)})")
     return tuple(1 - b if v in flip else b for v, b in enumerate(a, start=1))

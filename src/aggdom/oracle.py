@@ -285,11 +285,11 @@ def _eligible(d: Domain) -> bool:
 
 def census_domains(n: int, mode: str = "exhaustive", sample: int = 2000, seed: int = 0):
     """Non-degenerate domains with at least two members: all of them for
-    n <= 3, a seeded sample of subsets for larger n."""
+    n <= 4, a seeded sample of subsets for larger n."""
     size = 1 << n
     if mode == "exhaustive":
-        if n > 3:
-            raise CapExceededError("exhaustive census is limited to n <= 3")
+        if n > 4:
+            raise CapExceededError("exhaustive census is limited to n <= 4")
         for mask in range(1, 1 << size):
             d = _domain_from_mask(mask, n)
             if _eligible(d):

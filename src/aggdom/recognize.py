@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .formula import ClauseKind, Formula, rename
+from .formula import ClauseKind, Formula
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,14 @@ class PicResult:
 
 
 def check_syntactic_class(f: Formula) -> SyntacticFlags:
-    """Single linear scan for the four classical clause classes."""
+    """The four classical clause classes, in five linear passes over the
+    clauses (one for all-OR, one per class), each stopping at its first
+    failing clause."""
     all_or = all(c.kind is ClauseKind.OR for c in f.clauses)
     return SyntacticFlags(
         horn=all_or and all(c.is_horn() for c in f.clauses),
         dual_horn=all_or and all(c.is_dual_horn() for c in f.clauses),
-        bijunctive=all_or and all(len(c.or_literals) <= 2 for c in f.clauses),
+        bijunctive=all_or and all(len(c.or_part) <= 2 for c in f.clauses),
         affine=all(c.kind is ClauseKind.XOR for c in f.clauses),
     )
 
@@ -172,21 +174,27 @@ def verify_partially_horn(f: Formula, admissible: set[int]) -> bool:
     the set.  Mixed and xor clauses always count as reaching outside, and
     their xor parts must not meet the admissible set at all.
     """
+    return _partially_horn_renamed(f, frozenset(), admissible)
+
+
+def _partially_horn_renamed(f: Formula, renamed, admissible) -> bool:
+    """verify_partially_horn on f with the variables in `renamed` flipped,
+    read off the signs without building the renamed formula: a literal is
+    positive after renaming when it is positive and its variable is not
+    renamed, or negative and renamed."""
     if not admissible:
         raise ValueError("the admissible set must be non-empty")
     for clause in f.clauses:
+        positive = [abs(l) for l in clause.or_part if (l > 0) != (abs(l) in renamed)]
         if clause.kind is ClauseKind.OR:
-            if {l.var for l in clause.or_literals} <= admissible:
-                if not clause.is_horn():
+            if admissible.issuperset(map(abs, clause.or_part)):
+                if len(positive) > 1:
                     return False
-            else:
-                if any(l.positive and l.var in admissible for l in clause.or_literals):
-                    return False
-        else:
-            if any(l.var in admissible for l in clause.xor_literals):
-                return False
-            if any(l.positive and l.var in admissible for l in clause.or_literals):
-                return False
+                continue
+        elif not admissible.isdisjoint(map(abs, clause.xor_part)):
+            return False
+        if not admissible.isdisjoint(positive):
+            return False
     return True
 
 
@@ -208,8 +216,8 @@ def check_partially_horn(f: Formula) -> frozenset[int] | None:
 # vertex 2(v-1)+1 is "v admissible, kept as is"
 
 
-def _src_vertex(lit) -> int:
-    return 2 * (lit.var - 1) + (1 if lit.positive else 0)
+def _src_vertex(lit: int) -> int:
+    return 2 * abs(lit) - (1 if lit > 0 else 2)
 
 
 def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
@@ -218,8 +226,7 @@ def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
     dead: set[int] = set()
     for clause in f.clauses:
         if clause.kind is ClauseKind.OR:
-            literals = clause.or_literals
-            sources = [_src_vertex(l) for l in literals]
+            sources = [_src_vertex(l) for l in clause.or_part]
             # tgt(l) is the counterpart of src(l), which gives skew symmetry:
             # the pair (v, u) contributes exactly the edge
             # counterpart(tgt(u)) -> counterpart(src(v))
@@ -227,10 +234,10 @@ def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
             for i, src in enumerate(sources):
                 adj[src].extend(targets[:i] + targets[i + 1 :])
         else:
-            for l in clause.xor_literals:
-                dead.add(2 * (l.var - 1))
-                dead.add(2 * (l.var - 1) + 1)
-            for l in clause.or_literals:
+            for l in clause.xor_part:
+                dead.add(2 * abs(l) - 2)
+                dead.add(2 * abs(l) - 1)
+            for l in clause.or_part:
                 dead.add(_src_vertex(l))
     return adj, dead
 
@@ -331,7 +338,7 @@ def _greatest_admissible(f: Formula, renaming: bool) -> RPHWitness | None:
     )
     if not admissible:
         return None
-    if not verify_partially_horn(rename(f, renamed), set(admissible)):
+    if not _partially_horn_renamed(f, renamed, admissible):
         raise VerificationError("partially-Horn witness failed re-verification")
     return RPHWitness(renamed, admissible)
 
@@ -375,17 +382,16 @@ def verify_lpic(
     v2: set[int],
 ) -> bool:
     """Mechanical check of the three local-possibility conditions on
-    rename(f, renamed).  The parts must partition the occurring variables."""
+    f with the variables in `renamed` flipped.  The parts must partition the
+    occurring variables."""
     occurring = f.occurring_variables()
     if v0 | v1 | v2 != occurring or len(v0) + len(v1) + len(v2) != len(occurring):
         raise ValueError("V0, V1, V2 must partition the occurring variables")
     if not renamed <= v0:
         raise ValueError("the renamed set must lie inside V0")
-    renamed_formula = rename(f, renamed)
-    if v0:
-        if not verify_partially_horn(renamed_formula, v0):
-            return False
-    for clause in renamed_formula.clauses:
+    if v0 and not _partially_horn_renamed(f, renamed, v0):
+        return False
+    for clause in f.clauses:
         variables = clause.variables()
         if sum(v in v1 for v in variables) > 2:
             return False
@@ -394,9 +400,9 @@ def verify_lpic(
         if any(v in v2 for v in variables):
             if clause.kind is ClauseKind.OR:
                 return False
-            if not {l.var for l in clause.xor_literals} <= v2:
+            if not v2.issuperset(map(abs, clause.xor_part)):
                 return False
-            if not {l.var for l in clause.or_literals} <= v0:
+            if not v0.issuperset(map(abs, clause.or_part)):
                 return False
     return True
 
@@ -440,7 +446,7 @@ def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> Lpi
         v2: set[int] = set()
         keyed = ((vs[0], c) for c in f.clauses if (vs := c.variables()))
         for comp, clauses in zip(components, _group_by_component(components, keyed)):
-            if all(c.kind is ClauseKind.OR and len(c.or_literals) <= 2 for c in clauses):
+            if all(c.kind is ClauseKind.OR and len(c.or_part) <= 2 for c in clauses):
                 v1 |= comp
             elif all(c.kind is ClauseKind.XOR for c in clauses):
                 v2 |= comp

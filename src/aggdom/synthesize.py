@@ -37,7 +37,6 @@ from .formula import (
     Clause,
     ClauseKind,
     Formula,
-    Literal,
     models,
 )
 from .recognize import (
@@ -153,7 +152,7 @@ def _check_prime_cnf(formula: Formula, d: Domain, member_matrix, member_position
     covered = np.zeros(1 << n, dtype=bool)
     covered[list(member_positions)] = True
     for clause in formula.clauses:
-        signed = [l.signed for l in clause.or_literals]
+        signed = list(clause.or_part)
         cols = [abs(s) - 1 for s in signed]
         wanted = np.array([1 if s > 0 else 0 for s in signed], dtype=np.uint8)
         sat = member_matrix[:, cols] == wanted
@@ -172,10 +171,10 @@ def _check_prime_cnf(formula: Formula, d: Domain, member_matrix, member_position
 def _xor_normal_form(clause: Clause) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Key identifying the models of a generalized clause: or-part literals,
     xor-part variable set, and the parity the xor part must reach."""
-    negatives = sum(not l.positive for l in clause.xor_literals)
+    negatives = sum(l < 0 for l in clause.xor_part)
     return (
-        tuple(sorted(l.signed for l in clause.or_literals)),
-        tuple(sorted(l.var for l in clause.xor_literals)),
+        tuple(sorted(clause.or_part)),
+        tuple(sorted(map(abs, clause.xor_part))),
         1 ^ (negatives & 1),
     )
 
@@ -197,7 +196,7 @@ def _xor_rewrite(d: Domain, prime: Formula, cap: int) -> Formula:
     clauses = []
     seen = set()
     for clause in prime.clauses:
-        xor_clause = Clause(ClauseKind.XOR, xor_literals=clause.or_literals)
+        xor_clause = Clause(ClauseKind.XOR, xor_part=clause.or_part)
         key = _xor_normal_form(xor_clause)
         if key not in seen:
             seen.add(key)
@@ -265,11 +264,11 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free, cap: in
     def lift_vars(variables):
         return frozenset(free[v - 1] for v in variables)
 
-    def lift_literals(literals):
-        return tuple(Literal(free[l.var - 1], l.positive) for l in literals)
+    def lift_part(part):
+        return tuple(free[l - 1] if l > 0 else -free[-l - 1] for l in part)
 
     lifted_clauses = tuple(
-        Clause(c.kind, lift_literals(c.or_literals), lift_literals(c.xor_literals))
+        Clause(c.kind, lift_part(c.or_part), lift_part(c.xor_part))
         for c in result.formula.clauses
     )
     fixed_vars = frozenset(fixed)
@@ -365,17 +364,17 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
 
     outside = [c for c in prime.clauses if not set(c.variables()) <= v0]
     tails = {
-        id(c): [l for l in c.or_literals if l.var not in v0] for c in outside
+        id(c): [l for l in c.or_part if abs(l) not in v0] for c in outside
     }
     rest = sorted(occurring - v0)
     components = variable_components(
-        ([l.var for l in tails[id(c)]] for c in outside), rest
+        ([abs(l) for l in tails[id(c)]] for c in outside), rest
     )
 
     v1: set[int] = set()
     v2: set[int] = set()
     rewrite: set[int] = set()
-    keyed = ((tails[id(c)][0].var, c) for c in outside if tails[id(c)])
+    keyed = ((abs(tails[id(c)][0]), c) for c in outside if tails[id(c)])
     for comp, comp_clauses in zip(components, _group_by_component(components, keyed)):
         if all(len(tails[id(c)]) <= 2 for c in comp_clauses):
             v1 |= comp
@@ -389,12 +388,12 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
     transformed = []
     for c in prime.clauses:
         if id(c) in rewrite:
-            guard = tuple(l for l in c.or_literals if l.var in v0)
+            guard = tuple(l for l in c.or_part if abs(l) in v0)
             tail = tuple(tails[id(c)])
             if guard:
                 transformed.append(Clause(ClauseKind.GENERALIZED, guard, tail))
             else:
-                transformed.append(Clause(ClauseKind.XOR, xor_literals=tail))
+                transformed.append(Clause(ClauseKind.XOR, xor_part=tail))
         else:
             transformed.append(c)
     candidate = Formula(d.n, tuple(transformed))
@@ -415,7 +414,7 @@ def _tail_models_affine(comp, comp_clauses, tails, cap) -> bool:
     position = {v: i + 1 for i, v in enumerate(order)}
     sub_clauses = tuple(
         Clause.disjunction(*(
-            position[l.var] if l.positive else -position[l.var]
+            position[l] if l > 0 else -position[-l]
             for l in tails[id(c)]
         ))
         for c in comp_clauses

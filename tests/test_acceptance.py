@@ -234,7 +234,7 @@ def test_criterion_6_performance():
         assert result.prime_certified
         sample = list(result.formula.clauses)[:20]
         for clause in sample:
-            assert is_prime_implicate([l.signed for l in clause.or_literals], d.members)
+            assert is_prime_implicate(clause.or_part, d.members)
         print(
             f"  performance detail: separable {separable_time:.2f}s, "
             f"rph {rph_time:.2f}s, prime_cnf {prime_time:.2f}s "

@@ -26,21 +26,21 @@ def test_parse_or_clause():
     assert f.n == 2
     (clause,) = f.clauses
     assert clause.kind is ClauseKind.OR
-    assert [l.signed for l in clause.or_literals] == [1, -2]
+    assert clause.or_part == (1, -2)
 
 
 def test_parse_xor_clause(phi):
     (clause,) = phi[14].clauses
     assert clause.kind is ClauseKind.XOR
-    assert [l.signed for l in clause.xor_literals] == [1, 2, 3]
+    assert clause.xor_part == (1, 2, 3)
 
 
 def test_parse_generalized_clause():
     f = parse_formula("p ecnf 3 1\ng -1 x 2 3 0\n")
     (clause,) = f.clauses
     assert clause.kind is ClauseKind.GENERALIZED
-    assert [l.signed for l in clause.or_literals] == [-1]
-    assert [l.signed for l in clause.xor_literals] == [2, 3]
+    assert clause.or_part == (-1,)
+    assert clause.xor_part == (2, 3)
 
 
 def test_parse_accepts_comments_and_crlf():
@@ -167,6 +167,13 @@ def test_rename_keeps_unchanged_clauses():
 def test_rename_out_of_range(phi):
     with pytest.raises(ValueError):
         rename(phi[7], {9})
+
+
+def test_flip_assignment_out_of_range():
+    assert flip_assignment((0, 1, 0), {1, 3}) == (1, 1, 1)
+    for bad in ({9}, {0}, {-1}, {4}):
+        with pytest.raises(ValueError):
+            flip_assignment((0, 1, 0), bad)
 
 
 signed_literals = st.integers(min_value=1, max_value=6).flatmap(

@@ -158,7 +158,14 @@ def test_census_domains_filtering():
 
 def test_census_exhaustive_cap():
     with pytest.raises(CapExceededError):
-        list(census_domains(4))
+        list(census_domains(5))
+
+
+@pytest.mark.slow
+def test_census_n4_exhaustive():
+    report = census(4)
+    assert len(report.records) == 63_775
+    assert not report.mismatches
 
 
 def test_census_sample_deterministic():

@@ -66,9 +66,9 @@ def test_separable_invariant_under_reordering(phi):
             rng.shuffle(clauses)
             shuffled = []
             for c in clauses:
-                ors = list(c.or_literals)
+                ors = list(c.or_part)
                 rng.shuffle(ors)
-                shuffled.append(Clause(c.kind, tuple(ors), c.xor_literals))
+                shuffled.append(Clause(c.kind, tuple(ors), c.xor_part))
             got = check_separable(Formula(f.n, tuple(shuffled)))
             if expected is None:
                 assert got is None
@@ -354,6 +354,30 @@ def test_class_implications_on_random_formulas():
             assert report.renamable_partially_horn is not None
         if report.renamable_horn is not None:
             assert report.renamable_partially_horn is not None
+
+
+def _renaming_invariants(report):
+    rph, lpic = report.renamable_partially_horn, report.lpic
+    return (
+        report.separable,
+        report.renamable_horn is not None,
+        None if rph is None else rph.admissible,
+        report.pic.kinds(),
+        None if lpic is None else (lpic.v0, lpic.v1, lpic.v2),
+        report.affine,
+        report.bijunctive,
+    )
+
+
+def test_classification_invariant_under_renaming():
+    # a renaming only flips signs, so every answer that does not name the
+    # renamed set itself must survive it
+    rng = random.Random(3)
+    for _ in range(2000):
+        f = _random_formula(rng)
+        flip = {v for v in range(1, f.n + 1) if rng.random() < 0.5}
+        expected = _renaming_invariants(classify_formula(f))
+        assert _renaming_invariants(classify_formula(rename(f, flip))) == expected, (f, flip)
 
 
 def test_classify_formula_runs_each_recognizer_once(phi, monkeypatch):

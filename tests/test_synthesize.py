@@ -23,7 +23,7 @@ from util import is_prime_implicate
 
 
 def _clause_tuples(formula):
-    return {tuple(l.signed for l in c.or_literals) for c in formula.clauses}
+    return {c.or_part for c in formula.clauses}
 
 
 def test_prime_cnf_diagonal():
@@ -43,7 +43,7 @@ def test_prime_cnf_mod7(mod):
     result = prime_cnf(mod[7])
     assert models(result.formula) == mod[7]
     for clause in result.formula.clauses:
-        assert is_prime_implicate([l.signed for l in clause.or_literals], mod[7].members)
+        assert is_prime_implicate(clause.or_part, mod[7].members)
 
 
 def test_prime_cnf_random_domains_and_primality():
@@ -58,9 +58,7 @@ def test_prime_cnf_random_domains_and_primality():
         result = prime_cnf(d)
         assert models(result.formula) == d
         for clause in result.formula.clauses:
-            assert is_prime_implicate(
-                [l.signed for l in clause.or_literals], d.members
-            )
+            assert is_prime_implicate(clause.or_part, d.members)
 
 
 def test_prime_cnf_errors():

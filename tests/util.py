@@ -12,14 +12,14 @@ from aggdom.formula import ClauseKind
 
 def clause_true(clause, assignment):
     or_true = False
-    for lit in clause.or_literals:
-        value = assignment[lit.var - 1]
-        if (value == 1) == lit.positive:
+    for lit in clause.or_part:
+        value = assignment[abs(lit) - 1]
+        if (value == 1) == (lit > 0):
             or_true = True
     odd = 0
-    for lit in clause.xor_literals:
-        value = assignment[lit.var - 1]
-        if (value == 1) == lit.positive:
+    for lit in clause.xor_part:
+        value = assignment[abs(lit) - 1]
+        if (value == 1) == (lit > 0):
             odd ^= 1
     if clause.kind is ClauseKind.OR:
         return or_true
