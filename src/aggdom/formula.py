@@ -335,18 +335,13 @@ def models(f: Formula, cap: int = DEFAULT_MODELS_CAP):
 
     if f.n > cap:
         raise CapExceededError(f"model enumeration needs n <= {cap}, got n={f.n}")
-    mask = satisfying_mask(f)
-    return Domain(f.n, _mask_positions_assignments(mask, f.n))
-
-
-def _mask_positions_assignments(mask: int, n: int) -> list[tuple[int, ...]]:
-    import numpy as np
-
-    size = 1 << n
-    raw = mask.to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-    positions = np.nonzero(bits)[0]
-    return [position_to_assignment(int(p), n) for p in positions]
+    bits = format(satisfying_mask(f), "b")[::-1]  # bit p is assignment #p
+    found = []
+    p = bits.find("1")
+    while p >= 0:
+        found.append(position_to_assignment(p, f.n))
+        p = bits.find("1", p + 1)
+    return Domain(f.n, found)
 
 
 def rename(f: Formula, variables: Iterable[int]) -> Formula:

@@ -392,12 +392,15 @@ def verify_lpic(
     if v0 and not _partially_horn_renamed(f, renamed, v0):
         return False
     for clause in f.clauses:
-        variables = clause.variables()
-        if sum(v in v1 for v in variables) > 2:
+        in_v1 = in_v2 = 0
+        for v in clause.variables():
+            if v in v1:
+                in_v1 += 1
+            elif v in v2:
+                in_v2 += 1
+        if in_v1 > 2 or (in_v1 and in_v2):
             return False
-        if any(v in v1 for v in variables) and any(v in v2 for v in variables):
-            return False
-        if any(v in v2 for v in variables):
+        if in_v2:
             if clause.kind is ClauseKind.OR:
                 return False
             if not v2.issuperset(map(abs, clause.xor_part)):

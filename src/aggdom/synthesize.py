@@ -2,14 +2,14 @@
 and, when the structure allows it, to a possibility or local possibility
 integrity constraint.
 
-The prime CNF is built by maxterm shrinking: every excluded assignment
-contributes the clause falsified only by it, literals are then greedily
-deleted (ascending variable index) while every member still satisfies the
-clause, duplicates are dropped, and finally clauses that other clauses make
-redundant are pruned greedily, longest first.  Each kept clause is a prime
-implicate and the model set is machine-checked to equal the input.  This
-route does not promise the O(|D| n) clause bound of the literature's
-dedicated construction, only correctness.
+The prime CNF is built by maxterm shrinking on packed ints: every excluded
+assignment contributes the clause falsified only by it, and its literals are
+greedily deleted (ascending variable index) while every member still
+satisfies the clause, one test per literal on bit-sliced member columns (one
+|D|-bit int per variable).  Duplicates are dropped, and clauses that others
+make redundant are pruned greedily, longest first, on 2^n-bit masks of the
+assignments they falsify.  Each kept clause is certified prime and the model
+set is machine-checked.  No O(|D| n) clause bound is promised, only correctness.
 
 Each domain is analysed once: one prime CNF, its affineness, separable split
 and renamable-partially-Horn witness (`_DomainAnalysis`), from which both the
@@ -22,8 +22,10 @@ back with unit clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate
+from math import isqrt
+from operator import and_, or_
 
 from .domain import Domain, degeneracy, is_affine, project
 from .errors import (
@@ -37,7 +39,9 @@ from .formula import (
     Clause,
     ClauseKind,
     Formula,
+    _variable_masks,
     models,
+    satisfying_mask,
 )
 from .recognize import (
     LpicWitness,
@@ -77,94 +81,82 @@ def prime_cnf(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> PrimeFormula:
     n = d.n
     if n > cap:
         raise CapExceededError(f"prime CNF synthesis needs n <= {cap}, got n={n}")
-    size = 1 << n
-    member_matrix = np.array(d.members, dtype=np.uint8)
-    member_positions = set(d.members_as_ints)
-
-    clauses: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for p in range(size):
+    ints = d.members_as_ints
+    everyone = (1 << len(ints)) - 1
+    # ones[v]: the members with x_{v+1} = 1, one bit per member
+    ones = [sum(1 << i for i, m in enumerate(ints) if (m >> (n - 1 - v)) & 1) for v in range(n)]
+    member_positions = frozenset(ints)
+    clauses: dict[tuple[int, ...], None] = {}  # in order of first appearance
+    suffix = [0] * (n + 1)
+    for p in range(1 << n):
         if p in member_positions:
             continue
-        excluded = np.array([(p >> (n - v)) & 1 for v in range(1, n + 1)], dtype=np.uint8)
-        sat = member_matrix != excluded  # member x literal incidence
-        counts = sat.sum(axis=1)
-        kept = []
-        for i in range(n):
-            column = sat[:, i]
-            if not bool(np.any(column & (counts == 1))):
-                counts = counts - column
-                sat[:, i] = False
-            else:
-                kept.append(i)
-        clause = tuple(
-            (i + 1) if excluded[i] == 0 else -(i + 1) for i in kept
-        )
-        if clause not in seen:
-            seen.add(clause)
-            clauses.append(clause)
-
-    clauses = _prune_redundant(clauses, d, member_positions)
-    formula = Formula(
-        n, tuple(Clause.disjunction(*clause) for clause in clauses)
-    )
-    _check_prime_cnf(formula, d, member_matrix, member_positions)
+        # sat[v]: the members satisfying literal v of the clause falsified by p
+        sat = [ones[v] ^ everyone if (p >> (n - 1 - v)) & 1 else ones[v] for v in range(n)]
+        for v in range(n - 1, -1, -1):
+            suffix[v] = suffix[v + 1] | sat[v]
+        # keep literal v iff a member satisfies it and no kept or later literal
+        kept = 0
+        clause = []
+        for v in range(n):
+            if sat[v] & ~(kept | suffix[v + 1]):
+                kept |= sat[v]
+                clause.append(-(v + 1) if (p >> (n - 1 - v)) & 1 else v + 1)
+        clauses.setdefault(tuple(clause))
+    formula = Formula(n, tuple(Clause.disjunction(*c) for c in _prune_redundant(list(clauses), n)))
+    _check_prime_cnf(formula, d)
     return PrimeFormula(formula, prime_certified=True)
 
 
-def _falsified_positions(clause: tuple[int, ...], n: int) -> np.ndarray:
-    """Positions of all assignments violating every literal of the clause."""
-    base = 0
-    free_bits = []
-    fixed = set()
-    for lit in clause:
-        v = abs(lit)
-        fixed.add(v)
-        if lit < 0:
-            base |= 1 << (n - v)
-    for v in range(1, n + 1):
-        if v not in fixed:
-            free_bits.append(1 << (n - v))
-    positions = np.array([base], dtype=np.int64)
-    for bit in free_bits:
-        positions = np.concatenate([positions, positions | bit])
-    return positions
+def _prune_redundant(clauses, n: int) -> list[tuple[int, ...]]:
+    """Drop clauses whose removal keeps the model set, longest first.
 
+    A clause goes when every assignment it falsifies (a 2^n-bit mask) is
+    falsified by a clause kept before it or by one still to come.  The
+    unions of the clauses still to come are stored only at block starts,
+    and rebuilt inside one block at a time, so about 3 sqrt(k) masks are
+    alive for k clauses rather than k.
+    """
+    full = (1 << (1 << n)) - 1
+    ones = _variable_masks(n)
 
-def _prune_redundant(clauses, d: Domain, member_positions) -> list[tuple[int, ...]]:
-    """Drop clauses whose removal keeps the model set, longest first."""
-    n = d.n
-    counts = np.zeros(1 << n, dtype=np.int32)
-    falsified = {c: _falsified_positions(c, n) for c in clauses}
-    for c in clauses:
-        counts[falsified[c]] += 1
+    def falsified(clause):
+        return reduce(and_, (ones[-l - 1] if l < 0 else ones[l - 1] ^ full for l in clause), full)
+
+    order = sorted(clauses, key=lambda c: (-len(c), c))
+    step = isqrt(len(order)) + 1
+    blocks = [order[i:i + step] for i in range(0, len(order), step)]
+    after = [0] * (len(blocks) + 1)  # after[j]: union over blocks j, j+1, ...
+    for j in range(len(blocks) - 1, -1, -1):
+        after[j] = reduce(or_, map(falsified, blocks[j]), after[j + 1])
+    kept = 0
     removed = set()
-    for c in sorted(clauses, key=lambda c: (-len(c), c)):
-        positions = falsified[c]
-        if bool(np.all(counts[positions] >= 2)):
-            counts[positions] -= 1
-            removed.add(c)
+    for j, block in enumerate(blocks):
+        masks = [falsified(c) for c in block]
+        # later[-1 - i]: the union over everything after block[i]
+        later = list(accumulate(reversed(masks[1:]), or_, initial=after[j + 1]))
+        for c, mask, rest in zip(block, masks, reversed(later)):
+            if mask & ~(kept | rest):
+                kept |= mask
+            else:
+                removed.add(c)
     return [c for c in clauses if c not in removed]
 
 
-def _check_prime_cnf(formula: Formula, d: Domain, member_matrix, member_positions):
-    n = d.n
-    covered = np.zeros(1 << n, dtype=bool)
-    covered[list(member_positions)] = True
+def _check_prime_cnf(formula: Formula, d: Domain):
+    ints = d.members_as_ints
     for clause in formula.clauses:
         signed = list(clause.or_part)
-        cols = [abs(s) - 1 for s in signed]
-        wanted = np.array([1 if s > 0 else 0 for s in signed], dtype=np.uint8)
-        sat = member_matrix[:, cols] == wanted
-        if not bool(sat.any(axis=1).all()):
+        variables = sum(1 << (d.n - abs(l)) for l in signed)
+        neg = sum(1 << (d.n + l) for l in signed if l < 0)
+        # each member's satisfied literals, as bits of the packed layout
+        sat = [(m ^ neg) & variables for m in ints]
+        if not all(sat):
             raise VerificationError(f"clause {signed} excludes a member")
-        row_counts = sat.sum(axis=1)
-        critical = sat[row_counts == 1]
         # prime: every literal is, for some member, the only satisfied one
-        if not bool(critical.any(axis=0).all()):
+        if reduce(or_, (s for s in sat if not s & (s - 1)), 0) != variables:
             raise VerificationError(f"clause {signed} is not prime")
-        covered[_falsified_positions(tuple(signed), n)] = True
-    if not bool(covered.all()):
+    if satisfying_mask(formula) & ~sum(1 << m for m in ints):
         raise VerificationError("synthesized formula admits a non-member")
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aggdom
 from aggdom.cli import main
 from aggdom import parse_domain, parse_formula, models
 
@@ -90,6 +95,28 @@ def test_models_to_synthesize_round_trip(files, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert models(parse_formula(formula_file.read_text())) == models(parse_formula(PHI6))
+
+
+def test_library_runs_without_numpy(files):
+    argvs = [
+        ["synthesize", files["mod14.dom"]],
+        ["synthesize", files["mod14.dom"], "--lpic"],
+        ["models", files["phi7.ecnf"]],
+        ["classify-domain", files["mod7.dom"]],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from aggdom.cli import main\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(aggdom.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[0, 0, 0, 1], False]
 
 
 def test_aggregator_check(files, tmp_path, capsys):

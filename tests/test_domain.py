@@ -22,6 +22,7 @@ from aggdom import (
 )
 from aggdom.boolfn import BoolFn
 from aggdom.domain import closure_counterexample
+from aggdom.formula import position_to_assignment
 
 from util import brute_closed
 
@@ -183,6 +184,19 @@ def test_is_affine_matches_ternary_closure(mod):
             members.add(tuple(rng.randint(0, 1) for _ in range(n)))
         d = Domain(n, tuple(members))
         assert is_affine(d) == is_closed_under(d, xor3)
+    # random subsets are almost never affine: cosets of random subspaces are,
+    # and the same cosets short of one member almost never are
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        span = {0}
+        for _ in range(rng.randint(0, n)):
+            g = rng.randrange(1 << n)
+            span |= {s ^ g for s in span}
+        offset = rng.randrange(1 << n)
+        coset = Domain(n, tuple(position_to_assignment(s ^ offset, n) for s in span))
+        assert is_affine(coset)
+        short = Domain(n, coset.members[1:] or coset.members)
+        assert is_affine(short) == is_closed_under(short, xor3)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from aggdom import (
 )
 from aggdom.recognize import build_implication_graph
 
-from util import count_calls, max_admissible
+from util import count_calls, max_admissible, reference_verify_lpic
 
 
 def test_syntactic_classes(phi):
@@ -389,3 +389,19 @@ def test_classify_formula_runs_each_recognizer_once(phi, monkeypatch):
         recognize.classify_formula(f)
         assert (len(rph), len(separable)) == (1, 1)
         monkeypatch.undo()
+
+
+def test_verify_lpic_matches_plain_loop_reference():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(3000):
+        f = _random_formula(rng)
+        v0, v1, v2 = parts = (set(), set(), set())
+        weights = [rng.random() for _ in parts]  # lopsided splits reach the accepts
+        for v in f.occurring_variables():
+            rng.choices(parts, weights)[0].add(v)
+        renamed = {v for v in v0 if rng.random() < 0.5}
+        expected = reference_verify_lpic(f, renamed, v0, v1, v2)
+        assert verify_lpic(f, renamed, v0, v1, v2) == expected, (f, renamed, v0, v1, v2)
+        verdicts.add(expected)
+    assert verdicts == {True, False}

@@ -1,11 +1,15 @@
 import random
+import re
 
 import pytest
 
 from aggdom import (
+    Clause,
     DegenerateDomainError,
     Domain,
     EmptyDomainError,
+    Formula,
+    VerificationError,
     affine_formula,
     check_lpic,
     check_renamable_partially_horn,
@@ -17,9 +21,10 @@ from aggdom import (
     prime_cnf,
 )
 from aggdom.oracle import brute_binary, brute_ternary_commutative
-from aggdom.synthesize import lpic_analysis
+from aggdom.formula import position_to_assignment
+from aggdom.synthesize import _check_prime_cnf, lpic_analysis
 
-from util import is_prime_implicate
+from util import is_prime_implicate, reference_prime_cnf
 
 
 def _clause_tuples(formula):
@@ -59,6 +64,31 @@ def test_prime_cnf_random_domains_and_primality():
         assert models(result.formula) == d
         for clause in result.formula.clauses:
             assert is_prime_implicate(clause.or_part, d.members)
+
+
+def test_prime_cnf_matches_plain_loop_reference():
+    # the clauses and their order, not just the model set
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        size = rng.randint(1, min(40, 1 << n))
+        positions = rng.sample(range(1 << n), size)
+        d = Domain(n, tuple(position_to_assignment(p, n) for p in positions))
+        clauses = [c.or_part for c in prime_cnf(d).formula.clauses]
+        assert clauses == reference_prime_cnf(d.members, n), d
+
+
+@pytest.mark.parametrize(
+    "members, clause, message",
+    [
+        ([(1, 1)], (-1,), "clause [-1] excludes a member"),
+        ([(1, 1), (1, 0)], (1, 2), "clause [1, 2] is not prime"),
+        ([(1, 1)], (1,), "synthesized formula admits a non-member"),
+    ],
+)
+def test_prime_cnf_certifier_failure_modes(members, clause, message):
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        _check_prime_cnf(Formula(2, (Clause.disjunction(*clause),)), Domain(2, members))
 
 
 def test_prime_cnf_errors():

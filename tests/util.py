@@ -1,8 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately re-derive semantics from scratch (plain loops over
-assignments and tuples) so the library's bitmask and numpy paths are checked
-against something that shares no code with them.
+assignments and tuples) so the library's packed-int and bitmask paths are
+checked against something that shares no code with them.
 """
 
 from itertools import product
@@ -48,13 +48,13 @@ def brute_closed(members, fn):
     return True
 
 
+def satisfies(row, literals):
+    return any((row[abs(s) - 1] == 1) == (s > 0) for s in literals)
+
+
 def is_prime_implicate(signed_literals, members):
     """All members satisfy the clause and no proper sub-clause is satisfied
     by all of them."""
-
-    def satisfies(row, literals):
-        return any((row[abs(s) - 1] == 1) == (s > 0) for s in literals)
-
     literals = list(signed_literals)
     if not all(satisfies(row, literals) for row in members):
         return False
@@ -62,6 +62,74 @@ def is_prime_implicate(signed_literals, members):
         sub = literals[:drop] + literals[drop + 1 :]
         if sub and all(satisfies(row, sub) for row in members):
             return False
+    return True
+
+
+def reference_prime_cnf(members, n):
+    """Prime CNF clauses, as signed-literal tuples, by maxterm shrinking.
+
+    Every non-member, in ascending order with x1 as the most significant bit,
+    gives the clause it alone falsifies; literals are dropped in ascending
+    variable order while every member still satisfies the rest; repeated
+    clauses are dropped; then, longest first (ties by the tuple), a clause is
+    removed while every assignment it falsifies is falsified by another
+    clause still present.
+    """
+    members = list(members)
+    member_set = set(members)
+    cube = list(product((0, 1), repeat=n))
+    clauses = []
+    for excluded in cube:
+        if excluded in member_set:
+            continue
+        literals = [v if excluded[v - 1] == 0 else -v for v in range(1, n + 1)]
+        clause = list(literals)
+        for lit in literals:
+            rest = [l for l in clause if l != lit]
+            if all(satisfies(row, rest) for row in members):
+                clause = rest
+        if tuple(clause) not in clauses:
+            clauses.append(tuple(clause))
+    counts = {a: 0 for a in cube}
+    for c in clauses:
+        for a in cube:
+            if not satisfies(a, c):
+                counts[a] += 1
+    removed = set()
+    for c in sorted(clauses, key=lambda c: (-len(c), c)):
+        falsified = [a for a in cube if not satisfies(a, c)]
+        if all(counts[a] >= 2 for a in falsified):
+            for a in falsified:
+                counts[a] -= 1
+            removed.add(c)
+    return [c for c in clauses if c not in removed]
+
+
+def reference_verify_lpic(f, renamed, v0, v1, v2):
+    """The three local-possibility conditions, one plain test at a time."""
+    from aggdom.formula import ClauseKind, rename
+    from aggdom.recognize import verify_partially_horn
+
+    occurring = f.occurring_variables()
+    if v0 | v1 | v2 != occurring or len(v0) + len(v1) + len(v2) != len(occurring):
+        raise ValueError("V0, V1, V2 must partition the occurring variables")
+    if not renamed <= v0:
+        raise ValueError("the renamed set must lie inside V0")
+    if v0 and not verify_partially_horn(rename(f, renamed), v0):
+        return False
+    for clause in f.clauses:
+        variables = clause.variables()
+        if sum(v in v1 for v in variables) > 2:
+            return False
+        if any(v in v1 for v in variables) and any(v in v2 for v in variables):
+            return False
+        if any(v in v2 for v in variables):
+            if clause.kind is ClauseKind.OR:
+                return False
+            if not all(abs(l) in v2 for l in clause.xor_part):
+                return False
+            if not all(abs(l) in v0 for l in clause.or_part):
+                return False
     return True
 
 
