@@ -33,7 +33,7 @@ from .domain import (
     is_closed_under,
     rename_domain,
 )
-from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError
+from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError, _content_lines
 from .formula import DEFAULT_MODELS_CAP
 from .recognize import LpicWitness, RPHWitness, SeparabilityWitness
 from .synthesize import SynthesisResult, _analyse, _free_part, _lpic_from, _pic_from
@@ -213,11 +213,7 @@ def _require_ternary(F: Aggregator, G: Aggregator):
 def parse_aggregator(text: str) -> Aggregator:
     header = None
     components: list[BoolFn] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.split(None, 1)[0] == "c":
-            continue
-        parts = stripped.split()
+    for lineno, _line, parts in _content_lines(text):
         if header is None:
             if parts[0] != "a" or len(parts) != 3:
                 raise ParseError("expected header 'a <n> <k>'", lineno, 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import CapExceededError, EmptyDomainError, ParseError
+from .errors import CapExceededError, EmptyDomainError, ParseError, _content_lines
 
 if TYPE_CHECKING:  # pragma: no cover
     from .boolfn import BoolFn
@@ -71,17 +71,14 @@ class Domain:
 def parse_domain(text: str) -> Domain:
     """Parse a domain file: header ``d <n>`` then one 0/1 row per line.
 
-    Comment lines starting with ``c`` are allowed anywhere.  Ragged rows,
-    non-binary characters, duplicate rows and empty domains are rejected.
+    Blank lines and comment lines (first token ``c``) are allowed anywhere.
+    Ragged rows, non-binary characters, duplicate rows and empty domains are
+    rejected.
     """
     n = None
     rows: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.split(None, 1)[0] == "c":
-            continue
-        parts = stripped.split()
+    for lineno, _line, parts in _content_lines(text):
         if n is None:
             if parts[0] != "d" or len(parts) != 2:
                 raise ParseError("expected header 'd <n>'", lineno, 1)

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the line rule of the three text formats.
 
 The CLI maps these onto exit codes: input problems (ParseError and plain
 ValueError) exit 2, resource caps exit 3, and VerificationError, a bug
@@ -33,3 +33,14 @@ class EmptyDomainError(ValueError):
 
 class VerificationError(AssertionError):
     """A mandatory internal re-verification failed.  Always a bug."""
+
+
+def _content_lines(text):
+    """Yield (line number, line, tokens) for each line of `text` that holds
+    data.  A blank line, or one whose first whitespace-separated token is
+    ``c``, is a comment; the formula, domain and aggregator parsers share
+    this rule."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if parts and parts[0] != "c":
+            yield lineno, line, parts

@@ -19,16 +19,20 @@ of the syntax: a one-literal OR clause and a one-literal XOR clause evaluate
 identically but are different objects, because the recognizers downstream
 are syntactic.  Duplicate clauses are preserved as written.
 
-The text format is an extended DIMACS dialect (see `parse_formula`).
+The text format is an extended DIMACS dialect.  `parse_formula` reads it
+as one lazy stream of whitespace-separated tokens, holding only the clause
+being read, so the header and a clause may span lines; comment lines are
+skipped by the rule the domain and aggregator parsers share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError, ParseError, _content_lines
 
 DEFAULT_MODELS_CAP = 24
 
@@ -122,120 +126,105 @@ class Formula:
 # ---------------------------------------------------------------------------
 # extended-DIMACS parsing / rendering
 #
-# comment lines:      c ...
+# comment lines:      c ...   (a line whose first token is exactly c)
 # header:             p ecnf <nvars> <nclauses>
 # OR clause:          <lit> ... 0
 # XOR clause:         x <lit> ... 0
 # generalized clause: g <or-lits...> x <xor-lits...> 0
+#
+# Tokens are whitespace-separated and line breaks carry no meaning.  The
+# terminator is exactly "0"; another zero ("-0", "00") is an unexpected token.
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.split(None, 1)[0] == "c":
-            continue
-        col = 0
-        for part in line.split():
-            col = line.index(part, col) + 1
-            tokens.append((part, lineno, col))
-            col += len(part) - 1
-    return tokens
+def _tokens(text: str):
+    """Lazy stream of (token, line number, line, index in line)."""
+    for lineno, line, parts in _content_lines(text):
+        for index, token in enumerate(parts):
+            yield token, lineno, line, index
 
 
-def _parse_int(token: tuple[str, int, int]) -> int:
-    text, line, col = token
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", line, col) from None
+def _error(message: str, token) -> ParseError:
+    """A ParseError at `token`, its column computed from its line only here."""
+    _, lineno, line, index = token
+    end = 0
+    for part in line.split()[: index + 1]:
+        start = line.index(part, end)
+        end = start + len(part)
+    return ParseError(message, lineno, start + 1)
+
+
+_OPENERS = {"x": ClauseKind.XOR, "g": ClauseKind.GENERALIZED}
+_CLAUSE_NAMES = {
+    ClauseKind.OR: "clause",
+    ClauseKind.XOR: "xor clause",
+    ClauseKind.GENERALIZED: "generalized clause",
+}
 
 
 def parse_formula(text: str) -> Formula:
     """Parse extended-DIMACS text into a Formula.
 
+    Reads one token at a time, so the header and a clause may span lines.
     Rejects repeated variables inside a clause, out-of-range indices and a
     clause count that disagrees with the header.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    tokens = _tokens(text)
+    head = list(islice(tokens, 4))
+    if not head:
         raise ParseError("empty input, expected 'p ecnf <nvars> <nclauses>' header")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    head = tokens[pos]
-    if head[0] != "p":
-        raise ParseError(f"expected 'p' header, got {head[0]!r}", head[1], head[2])
-    if pos + 3 >= len(tokens):
-        raise ParseError("truncated header", head[1], head[2])
-    fmt = tokens[pos + 1]
-    if fmt[0] != "ecnf":
-        raise ParseError(f"expected format 'ecnf', got {fmt[0]!r}", fmt[1], fmt[2])
-    nvars = _parse_int(tokens[pos + 2])
-    nclauses = _parse_int(tokens[pos + 3])
+    if head[0][0] != "p":
+        raise _error(f"expected 'p' header, got {head[0][0]!r}", head[0])
+    if len(head) < 4:
+        raise _error("truncated header", head[0])
+    if head[1][0] != "ecnf":
+        raise _error(f"expected format 'ecnf', got {head[1][0]!r}", head[1])
+    sizes = []
+    for token in head[2:]:
+        try:
+            sizes.append(int(token[0]))
+        except ValueError:
+            raise _error(f"expected an integer, got {token[0]!r}", token) from None
+    nvars, nclauses = sizes
     if nvars < 1:
-        raise ParseError("header must declare at least one variable", head[1], head[2])
+        raise _error("header must declare at least one variable", head[0])
     if nclauses < 0:
-        raise ParseError("negative clause count", head[1], head[2])
-    pos += 4
-
-    def read_literals(stop_tokens: set[str]) -> tuple[list[int], tuple[str, int, int]]:
-        found = []
-        while True:
-            token = peek()
-            if token is None:
-                raise ParseError("clause not terminated by 0", *tokens[-1][1:])
-            if token[0] in stop_tokens:
-                return found, token
-            value = _parse_int(token)
-            if value == 0:
-                return found, token
-            if abs(value) > nvars:
-                raise ParseError(f"variable x{abs(value)} out of range (n={nvars})", token[1], token[2])
-            found.append(value)
-            advance()
-
-    def advance():
-        nonlocal pos
-        pos += 1
+        raise _error("negative clause count", head[0])
 
     clauses: list[Clause] = []
-    while peek() is not None:
-        token = peek()
-        start = token
+    kind = None  # kind of the clause being read; None between clauses
+    for token in tokens:
+        word = token[0]
+        if kind is None:
+            start, or_part, xor_part = token, [], []
+            kind = _OPENERS.get(word, ClauseKind.OR)
+            part = xor_part if kind is ClauseKind.XOR else or_part  # where literals go
+            need_x = kind is ClauseKind.GENERALIZED
+            if kind is not ClauseKind.OR:
+                continue
+        elif need_x and word == "x":
+            part, need_x = xor_part, False
+            continue
         try:
-            if token[0] == "x":
-                advance()
-                xor_part, end = read_literals(set())
-                if end[0] != "0":
-                    raise ParseError(f"unexpected token {end[0]!r} in xor clause", end[1], end[2])
-                advance()
-                clause = Clause(ClauseKind.XOR, xor_part=tuple(xor_part))
-            elif token[0] == "g":
-                advance()
-                or_part, stop = read_literals({"x"})
-                if stop[0] != "x":
-                    raise ParseError("generalized clause needs an 'x' separator", stop[1], stop[2])
-                advance()
-                xor_part, end = read_literals(set())
-                if end[0] != "0":
-                    raise ParseError(f"unexpected token {end[0]!r} in generalized clause", end[1], end[2])
-                advance()
-                clause = Clause(ClauseKind.GENERALIZED, tuple(or_part), tuple(xor_part))
-            else:
-                or_part, end = read_literals(set())
-                if end[0] != "0":
-                    raise ParseError(f"unexpected token {end[0]!r} in clause", end[1], end[2])
-                advance()
-                clause = Clause(ClauseKind.OR, or_part=tuple(or_part))
+            value = int(word)
+        except ValueError:
+            raise _error(f"expected an integer, got {word!r}", token) from None
+        if value:
+            if abs(value) > nvars:
+                raise _error(f"variable x{abs(value)} out of range (n={nvars})", token)
+            part.append(value)
+            continue
+        if need_x:
+            raise _error("generalized clause needs an 'x' separator", token)
+        if word != "0":
+            raise _error(f"unexpected token {word!r} in {_CLAUSE_NAMES[kind]}", token)
+        try:
+            clauses.append(Clause(kind, tuple(or_part), tuple(xor_part)))
         except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), start[1], start[2]) from None
-        clauses.append(clause)
+            raise _error(str(exc), start) from None
+        kind = None
+    if kind is not None:
+        raise _error("clause not terminated by 0", token)
 
     if len(clauses) != nclauses:
         raise ParseError(f"header declares {nclauses} clauses but {len(clauses)} were given")

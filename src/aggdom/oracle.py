@@ -285,7 +285,8 @@ def _eligible(d: Domain) -> bool:
 
 def census_domains(n: int, mode: str = "exhaustive", sample: int = 2000, seed: int = 0):
     """Non-degenerate domains with at least two members: all of them for
-    n <= 4, a seeded sample of subsets for larger n."""
+    n <= 4, or a seeded sample of distinct subsets.  A sample larger than
+    the number of eligible domains raises ValueError."""
     size = 1 << n
     if mode == "exhaustive":
         if n > 4:
@@ -295,10 +296,14 @@ def census_domains(n: int, mode: str = "exhaustive", sample: int = 2000, seed: i
             if _eligible(d):
                 yield mask, d
     elif mode == "sample":
+        if sample < 0:
+            raise ValueError(f"census sample must be >= 0, got {sample}")
         rng = random.Random(seed)
         seen = set()
         produced = 0
         while produced < sample:
+            if len(seen) == 1 << size:
+                raise ValueError(f"n={n} has only {produced} eligible domains, fewer than the sample of {sample}")
             mask = rng.getrandbits(size)
             if mask in seen:
                 continue

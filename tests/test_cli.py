@@ -155,6 +155,14 @@ def test_census_command(capsys):
     assert len(rows) == 7 and all(row["match"] for row in rows)
 
 
+@pytest.mark.parametrize("argv", [["census", "2", "--sample", "50"], ["census", "3", "--sample", "-1"]])
+def test_census_impossible_sample_exit_two(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_input_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.dom"
     bad.write_text("d 2\n0x\n")

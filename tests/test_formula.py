@@ -48,28 +48,115 @@ def test_parse_accepts_comments_and_crlf():
     assert f.n == 2 and len(f.clauses) == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p ecnf 2 1\n1 -1 0\n",  # repeated variable
-        "p ecnf 2 1\n1 3 0\n",  # out of range
-        "p ecnf 2 2\n1 2 0\n",  # clause count mismatch
-        "p ecnf 2 1\n1 2\n",  # unterminated clause
-        "p cnf 2 1\n1 2 0\n",  # wrong format tag
-        "p ecnf 2 1\ng 1 0\n",  # generalized without xor part
-        "p ecnf 2 1\n1 q 0\n",  # junk token
-        "",
-    ],
-)
+# Each malformed input with its exact message and (line, column); the
+# texts double as the test ids.
+_PARSE_ERRORS = {
+    # the header
+    "": ("empty input, expected 'p ecnf <nvars> <nclauses>' header", None, None),
+    "c only a comment\n\n": ("empty input, expected 'p ecnf <nvars> <nclauses>' header", None, None),
+    "1 2 0\n": ("expected 'p' header, got '1'", 1, 1),
+    "  ecnf 2 1\n": ("expected 'p' header, got 'ecnf'", 1, 3),
+    "p ecnf 2\n": ("truncated header", 1, 1),
+    "p\n": ("truncated header", 1, 1),
+    "\n p cnf\n": ("truncated header", 2, 2),
+    "p\necnf\n2\n": ("truncated header", 1, 1),
+    "p cnf 2 1\n1 2 0\n": ("expected format 'ecnf', got 'cnf'", 1, 3),
+    "p\nCNF 2 1\n": ("expected format 'ecnf', got 'CNF'", 2, 1),
+    "p ecnf\nq 1\n": ("expected an integer, got 'q'", 2, 1),
+    "p ecnf 2\n\tq\n": ("expected an integer, got 'q'", 2, 2),
+    "p ecnf 0 0\n": ("header must declare at least one variable", 1, 1),
+    "c x\n  p ecnf\n-3 0\n": ("header must declare at least one variable", 2, 3),
+    "p ecnf 2 -1\n": ("negative clause count", 1, 1),
+    "p ecnf 2 1 extra\n1 0\n": ("expected an integer, got 'extra'", 1, 12),
+    "p ecnf 2 2\n1 2 0\n": ("header declares 2 clauses but 1 were given", None, None),
+    "p ecnf 2 0\n1 0\n": ("header declares 0 clauses but 1 were given", None, None),
+    # the terminator
+    "p ecnf 2 1\n1 2 -0\n": ("unexpected token '-0' in clause", 2, 5),
+    "p ecnf 2 1\n1 2 00\n": ("unexpected token '00' in clause", 2, 5),
+    "p ecnf 2 1\n-0\n": ("unexpected token '-0' in clause", 2, 1),
+    "p ecnf 2 1\nx 1 2 +0\n": ("unexpected token '+0' in xor clause", 2, 7),
+    "p ecnf 2 1\ng 1 x 2 -0\n": ("unexpected token '-0' in generalized clause", 2, 9),
+    "p ecnf 2 1\n1 2\n": ("clause not terminated by 0", 2, 3),
+    "p ecnf 2 1\n1 2 0\nx 1\nc trailing\n": ("clause not terminated by 0", 3, 3),
+    "p ecnf 2 1\ng 1 x\n": ("clause not terminated by 0", 2, 5),
+    "p ecnf 2 1\nx\n": ("clause not terminated by 0", 2, 1),
+    # clause syntax
+    "p ecnf 2 1\ng 1 0\n": ("generalized clause needs an 'x' separator", 2, 5),
+    "p ecnf 2 1\ng 1 -0\n": ("generalized clause needs an 'x' separator", 2, 5),
+    "p ecnf 2 1\ng 1 2 x 0\n": ("generalized clause needs both parts non-empty", 2, 1),
+    "p ecnf 2 1\ng x 1 0\n": ("generalized clause needs both parts non-empty", 2, 1),
+    "p ecnf 2 1\nx 1 x 2 0\n": ("expected an integer, got 'x'", 2, 5),
+    "p ecnf 3 1\ng 1 x 2 x 3 0\n": ("expected an integer, got 'x'", 2, 9),
+    "p ecnf 2 1\n1 x 0\n": ("expected an integer, got 'x'", 2, 3),
+    "p ecnf 2 1\n1 g 0\n": ("expected an integer, got 'g'", 2, 3),
+    "p ecnf 2 1\n1 q 0\n": ("expected an integer, got 'q'", 2, 3),
+    "p ecnf 2 1\n0\n": ("OR clause needs at least one literal", 2, 1),
+    "p ecnf 2 1\nx 0\n": ("XOR clause needs at least one literal", 2, 1),
+    # literals
+    "p ecnf 2 1\n1 3 0\n": ("variable x3 out of range (n=2)", 2, 3),
+    "p ecnf 2 1\n1\t\t-3 0\n": ("variable x3 out of range (n=2)", 2, 4),
+    "p ecnf 2 1\n1 -1 0\n": ("variable x1 repeated within a clause", 2, 1),
+    "p ecnf 3 1\n1 0\n  2 3\n -2 0\n": ("variable x2 repeated within a clause", 3, 3),
+    "p ecnf 3 1\ng 1 x -1 0\n": ("variable x1 repeated within a clause", 2, 1),
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(ParseError):
+    message, line, column = _PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as err:
         parse_formula(text)
+    where = "" if line is None else f"line {line}, col {column}: "
+    assert str(err.value) == where + message
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_formula("p ecnf 2 1\n1 3 0\n")
     assert err.value.line == 2
+
+
+# One valid file per parser, as a list of lines.
+_VALID_FILES = {
+    "formula": (parse_formula, ["p ecnf 2 2", "1 -2 0", "x 1 2 0"]),
+    "domain": (parse_domain, ["d 2", "01", "10"]),
+    "aggregator": (parse_aggregator, ["a 2 2", "and", "t 0110"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALID_FILES))
+def test_comment_lines_are_skipped_by_every_parser(kind):
+    parse, lines = _VALID_FILES[kind]
+    plain = parse("\n".join(lines) + "\n")
+    header, *rows = lines
+    commented = "\n".join(
+        ["c before the header", "", header, "  c indented comment"]
+        + [row + "\n\tc between rows" for row in rows]
+        + ["c at the end", "c"]
+    )
+    assert parse(commented) == plain
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("formula", "c1 p ecnf 2 1\n", "line 1, col 1: expected 'p' header, got 'c1'"),
+        ("formula", "p ecnf 2 1\ncx 1 0\n", "line 2, col 1: expected an integer, got 'cx'"),
+        ("formula", "p ecnf 2 1\n1 0\nc1\n", "line 3, col 1: expected an integer, got 'c1'"),
+        ("domain", "c1\nd 2\n01\n10\n", "line 1, col 1: expected header 'd <n>'"),
+        ("domain", "d 2\ncx\n01\n10\n", "line 2, col 1: row 'cx' has non-binary characters"),
+        ("domain", "d 2\n01\n10\nc1 trailing\n", "line 4, col 1: expected one 0/1 row per line"),
+        ("aggregator", "cx 1 2\na 1 2\nand\n", "line 1, col 1: expected header 'a <n> <k>'"),
+        ("aggregator", "a 2 2\nand\ncx\nor\n", "line 3, col 1: unknown function name 'cx'"),
+        ("aggregator", "a 1 2\nand\nc1\n", "line 3, col 1: unknown function name 'c1'"),
+    ],
+)
+def test_tokens_starting_with_c_are_not_comments(kind, text, message):
+    parse, _lines = _VALID_FILES[kind]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_render_examples(phi):
@@ -214,9 +301,18 @@ def test_rename_flip_evaluation_property(f, variables, data):
     assert evaluate(rename(f, variables), flip_assignment(a, variables)) == evaluate(f, a)
 
 
-@given(formulas())
-def test_parse_render_round_trip_property(f):
+# Whitespace, line breaks and whole comment lines that may stand between two
+# tokens; a clause or the header may be split over lines.
+_LAYOUT = st.sampled_from([" ", "  ", "\t", " \t ", "\n", "\r\n", "\n\n  ", "\nc noise 0 x\n", "\n\tc\n "])
+
+
+@given(formulas(), st.data())
+def test_parse_render_round_trip_property(f, data):
     assert parse_formula(render_formula(f)) == f
+    tokens = render_formula(f).split()
+    gaps = data.draw(st.lists(_LAYOUT, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    noisy = gaps[0] + "".join(token + gap for token, gap in zip(tokens, gaps[1:]))
+    assert parse_formula(noisy) == f
 
 
 def test_xor_equals_generalized_semantics_exhaustively():

@@ -168,6 +168,15 @@ def test_census_n4_exhaustive():
     assert not report.mismatches
 
 
+def test_census_sample_stops_when_every_subset_is_drawn():
+    # n=2 has 7 eligible domains among its 16 subsets, n=3 has 193 among 256
+    with pytest.raises(ValueError, match="only 7 eligible domains"):
+        list(census_domains(2, mode="sample", sample=50))
+    assert len(census(3, mode="sample", sample=193).records) == 193
+    with pytest.raises(ValueError, match="only 193 eligible domains"):
+        list(census_domains(3, mode="sample", sample=194))
+
+
 def test_census_sample_deterministic():
     first = census(4, mode="sample", sample=25, seed=9)
     second = census(4, mode="sample", sample=25, seed=9)
