@@ -16,7 +16,9 @@ Exclusive-or parts force their variables out of the admissible set, and
 or-parts of mixed clauses behave like occurrences in an inadmissible clause
 (their "positive after renaming" vertex is seeded dead).  Partially Horn
 (no renaming) is the same graph and zero propagation with every renaming
-vertex seeded dead as well.
+vertex seeded dead as well.  Dead seeds do not change the SCCs, so
+classify_formula builds one graph, runs one Tarjan and runs both zero
+propagations on the result.
 """
 
 from __future__ import annotations
@@ -98,35 +100,37 @@ def check_syntactic_class(f: Formula) -> SyntacticFlags:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
+def variable_components(clause_var_lists, variables) -> list[set[int]]:
+    """Connected components of the graph joining the variables of each
+    clause to its first one, by union-find over one parent dict.  Each
+    clause's variable set lies inside one component."""
+    parent = {v: v for v in variables}
 
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
+    def find(v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
         return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def variable_components(clause_var_lists, variables) -> list[set[int]]:
-    """Connected components of the graph joining consecutive variables of
-    each clause.  Each clause's variable set lies inside one component."""
-    uf = _UnionFind(variables)
     for var_list in clause_var_lists:
-        for a, b in zip(var_list, var_list[1:]):
-            uf.union(a, b)
+        rest = iter(var_list)
+        for first in rest:  # at most one round: the inner loop drains `rest`
+            head = find(first)
+            for v in rest:
+                root = find(v)
+                if root != head:
+                    parent[root] = head
     groups: dict[int, set[int]] = {}
     for v in variables:
-        groups.setdefault(uf.find(v), set()).add(v)
+        groups.setdefault(find(v), set()).add(v)
     return sorted(groups.values(), key=min)
+
+
+def _components(f: Formula, occurring: set[int]) -> list[set[int]]:
+    """variable_components of f, streaming each clause's variable list."""
+    return variable_components((c.variables() for c in f.clauses), sorted(occurring))
 
 
 def _group_by_component(components: list[set[int]], keyed_items) -> list[list]:
@@ -142,11 +146,16 @@ def _group_by_component(components: list[set[int]], keyed_items) -> list[list]:
 def check_separable(f: Formula) -> SeparabilityWitness | None:
     """Partition of the occurring variables with no clause crossing it, or
     None when the variable graph is connected.  Linear in formula length."""
-    occurring = sorted(f.occurring_variables())
+    occurring = f.occurring_variables()
     if len(occurring) < 2:
         raise ValueError("separability needs at least two occurring variables")
-    components = variable_components((c.variables() for c in f.clauses), occurring)
-    if len(components) == 1:
+    return _separable_from(_components(f, occurring))
+
+
+def _separable_from(components: list[set[int]]) -> SeparabilityWitness | None:
+    """The separable split read off the variable components; fewer than two
+    components (connected, or fewer than two occurring variables) is None."""
+    if len(components) < 2:
         return None
     part1 = frozenset(components[0])
     part2 = frozenset(v for comp in components[1:] for v in comp)
@@ -204,7 +213,7 @@ def check_partially_horn(f: Formula) -> frozenset[int] | None:
     The renamable-partially-Horn zero propagation with every renaming vertex
     seeded dead, so only the "admissible, kept as is" vertices can survive.
     """
-    witness = _greatest_admissible(f, renaming=False)
+    witness = _greatest_admissible(f, _implication_sccs(f), renaming=False)
     return None if witness is None else witness.admissible
 
 
@@ -216,17 +225,14 @@ def check_partially_horn(f: Formula) -> frozenset[int] | None:
 # vertex 2(v-1)+1 is "v admissible, kept as is"
 
 
-def _src_vertex(lit: int) -> int:
-    return 2 * abs(lit) - (1 if lit > 0 else 2)
-
-
 def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
     """Adjacency lists over the 2n renaming vertices plus the dead seeds."""
     adj: list[list[int]] = [[] for _ in range(2 * f.n)]
     dead: set[int] = set()
     for clause in f.clauses:
+        # src(l), the vertex that makes l positive after renaming
+        sources = [2 * l - 1 if l > 0 else -2 * l - 2 for l in clause.or_part]
         if clause.kind is ClauseKind.OR:
-            sources = [_src_vertex(l) for l in clause.or_part]
             # tgt(l) is the counterpart of src(l), which gives skew symmetry:
             # the pair (v, u) contributes exactly the edge
             # counterpart(tgt(u)) -> counterpart(src(v))
@@ -237,8 +243,7 @@ def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
             for l in clause.xor_part:
                 dead.add(2 * abs(l) - 2)
                 dead.add(2 * abs(l) - 1)
-            for l in clause.or_part:
-                dead.add(_src_vertex(l))
+            dead.update(sources)
     return adj, dead
 
 
@@ -303,13 +308,21 @@ def _tarjan(nvertices: int, adj: list[list[int]]) -> tuple[list[list[int]], list
     return comps, comp_id
 
 
-def _greatest_admissible(f: Formula, renaming: bool) -> RPHWitness | None:
-    """Renamed set and greatest admissible set read off the implication graph,
-    re-verified; without renaming, every renaming vertex is an extra dead seed."""
+def _implication_sccs(f: Formula):
+    """The implication graph of f, its dead seeds and its SCCs, built once for
+    both zero propagations: dead seeds do not change the SCCs."""
     adj, dead = build_implication_graph(f)
-    if not renaming:
-        dead.update(range(0, 2 * f.n, 2))
     comps, comp_id = _tarjan(2 * f.n, adj)
+    return adj, dead, comps, comp_id
+
+
+def _greatest_admissible(f: Formula, sccs, renaming: bool) -> RPHWitness | None:
+    """Renamed set and greatest admissible set read off the implication graph
+    and its SCCs, re-verified; without renaming, every renaming vertex is an
+    extra dead seed."""
+    adj, dead, comps, comp_id = sccs
+    if not renaming:
+        dead = dead | set(range(0, 2 * f.n, 2))
 
     # An SCC is zeroed when it is bad (contains some x together with x'),
     # contains a dead seed, or reaches a zeroed SCC.  Completion order is
@@ -344,7 +357,18 @@ def _greatest_admissible(f: Formula, renaming: bool) -> RPHWitness | None:
 
 
 def check_renamable_partially_horn(f: Formula) -> RPHWitness | None:
-    return _greatest_admissible(f, renaming=True)
+    return _greatest_admissible(f, _implication_sccs(f), renaming=True)
+
+
+def _horn_witnesses(f: Formula) -> tuple[RPHWitness | None, frozenset[int] | None]:
+    """The RPH witness and the partially-Horn set of f, both zero propagations
+    run on one implication graph and one Tarjan; the graph is dropped on return."""
+    sccs = _implication_sccs(f)
+    partially_horn = _greatest_admissible(f, sccs, renaming=False)
+    return (
+        _greatest_admissible(f, sccs, renaming=True),
+        None if partially_horn is None else partially_horn.admissible,
+    )
 
 
 def check_renamable_horn(f: Formula) -> frozenset[int] | None:
@@ -353,11 +377,11 @@ def check_renamable_horn(f: Formula) -> frozenset[int] | None:
     Accepts exactly when the renamable-partially-Horn witness covers every
     occurring variable; mixed and xor clauses therefore always reject.
     """
-    return _renamable_horn_from(f, check_renamable_partially_horn(f))
+    return _renamable_horn_from(f.occurring_variables(), check_renamable_partially_horn(f))
 
 
-def _renamable_horn_from(f: Formula, rph: RPHWitness | None) -> frozenset[int] | None:
-    if rph is None or not f.occurring_variables() <= rph.admissible:
+def _renamable_horn_from(occurring: set[int], rph: RPHWitness | None) -> frozenset[int] | None:
+    if rph is None or not occurring <= rph.admissible:
         return None
     return rph.renamed
 
@@ -384,7 +408,11 @@ def verify_lpic(
     """Mechanical check of the three local-possibility conditions on
     f with the variables in `renamed` flipped.  The parts must partition the
     occurring variables."""
-    occurring = f.occurring_variables()
+    return _verify_lpic(f, f.occurring_variables(), renamed, v0, v1, v2)
+
+
+def _verify_lpic(f: Formula, occurring: set[int], renamed, v0, v1, v2) -> bool:
+    """verify_lpic given the occurring variables of f."""
     if v0 | v1 | v2 != occurring or len(v0) + len(v1) + len(v2) != len(occurring):
         raise ValueError("V0, V1, V2 must partition the occurring variables")
     if not renamed <= v0:
@@ -421,28 +449,34 @@ def check_lpic(f: Formula) -> LpicWitness | None:
     """
     flags = check_syntactic_class(f)
     rph = None if flags.bijunctive or flags.affine else check_renamable_partially_horn(f)
-    return _lpic_from(f, flags, rph)
-
-
-def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> LpicWitness | None:
-    """check_lpic on the class flags and RPH witness of f, computed once by the caller."""
     occurring = f.occurring_variables()
+    return _lpic_from(f, flags, rph, occurring, _components(f, occurring))
+
+
+def _lpic_from(
+    f: Formula,
+    flags: SyntacticFlags,
+    rph: RPHWitness | None,
+    occurring: set[int],
+    components: list[set[int]],
+) -> LpicWitness | None:
+    """check_lpic on the class flags, RPH witness, occurring variables and
+    variable components of f, computed once by the caller."""
     if flags.bijunctive:
         witness = LpicWitness(frozenset(), frozenset(), frozenset(occurring), frozenset())
-        return _verified_lpic(f, witness)
+        return _verified_lpic(f, occurring, witness)
     if flags.affine:
         witness = LpicWitness(frozenset(), frozenset(), frozenset(), frozenset(occurring))
-        return _verified_lpic(f, witness)
+        return _verified_lpic(f, occurring, witness)
 
     v0 = frozenset() if rph is None else rph.admissible & occurring
     renamed = frozenset() if rph is None else rph.renamed & v0
 
     if occurring <= (rph.admissible if rph else frozenset()):
         witness = LpicWitness(renamed, frozenset(occurring), frozenset(), frozenset())
-        return _verified_lpic(f, witness)
+        return _verified_lpic(f, occurring, witness)
 
     if not v0:
-        components = variable_components((c.variables() for c in f.clauses), sorted(occurring))
         if len(components) == 1:
             return None
         v1: set[int] = set()
@@ -456,7 +490,7 @@ def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> Lpi
             else:
                 return None
         witness = LpicWitness(frozenset(), frozenset(), frozenset(v1), frozenset(v2))
-        return _verified_lpic(f, witness)
+        return _verified_lpic(f, occurring, witness)
 
     rest = occurring - v0
     v2 = frozenset(
@@ -467,13 +501,14 @@ def _lpic_from(f: Formula, flags: SyntacticFlags, rph: RPHWitness | None) -> Lpi
         if v in rest
     )
     v1 = rest - v2
-    if not verify_lpic(f, set(renamed), set(v0), set(v1), set(v2)):
+    if not _verify_lpic(f, occurring, set(renamed), set(v0), set(v1), set(v2)):
         return None
     return LpicWitness(renamed, v0, frozenset(v1), v2)
 
 
-def _verified_lpic(f: Formula, witness: LpicWitness) -> LpicWitness:
-    if not verify_lpic(f, set(witness.renamed), set(witness.v0), set(witness.v1), set(witness.v2)):
+def _verified_lpic(f: Formula, occurring: set[int], witness: LpicWitness) -> LpicWitness:
+    parts = (set(witness.renamed), set(witness.v0), set(witness.v1), set(witness.v2))
+    if not _verify_lpic(f, occurring, *parts):
         raise VerificationError("lpic witness failed re-verification")
     return witness
 
@@ -499,25 +534,28 @@ class FormulaClassReport:
 
 
 def classify_formula(f: Formula) -> FormulaClassReport:
-    """Every class at once: each recognizer runs once, and the renamable-Horn,
-    pic and lpic answers are read off the shared RPH witness and separable
-    split."""
+    """Every class at once.  One implication graph and one Tarjan serve both
+    zero propagations (RPH and partially Horn), one occurring set and one
+    variable-component split serve separability and lpic, and renamable
+    Horn, pic and lpic are read off the shared results."""
     flags = check_syntactic_class(f)
     notes = ()
     if any(c.kind is not ClauseKind.OR for c in f.clauses):
         notes = ("mixed-clause-extension",)
-    separable = _separable_or_none(f)
-    rph = check_renamable_partially_horn(f)
+    rph, partially_horn = _horn_witnesses(f)
+    occurring = f.occurring_variables()
+    components = _components(f, occurring)
+    separable = _separable_from(components)
     return FormulaClassReport(
         horn=flags.horn,
         dual_horn=flags.dual_horn,
         bijunctive=flags.bijunctive,
         affine=flags.affine,
-        renamable_horn=_renamable_horn_from(f, rph),
+        renamable_horn=_renamable_horn_from(occurring, rph),
         separable=separable,
-        partially_horn=check_partially_horn(f),
+        partially_horn=partially_horn,
         renamable_partially_horn=rph,
         pic=PicResult(separable, rph, flags.affine),
-        lpic=_lpic_from(f, flags, rph),
+        lpic=_lpic_from(f, flags, rph, occurring, components),
         notes=notes,
     )

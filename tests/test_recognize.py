@@ -19,7 +19,7 @@ from aggdom import (
     verify_lpic,
     verify_partially_horn,
 )
-from aggdom.recognize import build_implication_graph
+from aggdom.recognize import FormulaClassReport, build_implication_graph
 
 from util import count_calls, max_admissible, reference_verify_lpic
 
@@ -380,15 +380,73 @@ def test_classification_invariant_under_renaming():
         assert _renaming_invariants(classify_formula(rename(f, flip))) == expected, (f, flip)
 
 
-def test_classify_formula_runs_each_recognizer_once(phi, monkeypatch):
+def test_classify_formula_builds_one_graph_and_one_split(phi, monkeypatch):
     from aggdom import recognize
 
     for f in phi.values():
-        rph = count_calls(monkeypatch, recognize, "check_renamable_partially_horn")
-        separable = count_calls(monkeypatch, recognize, "check_separable")
+        counted = {
+            name: count_calls(monkeypatch, recognize, name)
+            for name in ("build_implication_graph", "_tarjan", "variable_components", "_greatest_admissible")
+        }
         recognize.classify_formula(f)
-        assert (len(rph), len(separable)) == (1, 1)
+        # one graph, one Tarjan and one component split; both zero
+        # propagations (RPH and partially Horn) still run on the one graph
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "build_implication_graph": 1,
+            "_tarjan": 1,
+            "variable_components": 1,
+            "_greatest_admissible": 2,
+        }
         monkeypatch.undo()
+
+
+def _standalone_report(f):
+    """classify_formula's report assembled from the public recognizers alone."""
+    flags = check_syntactic_class(f)
+    try:
+        separable = check_separable(f)
+    except ValueError:
+        separable = None
+    return FormulaClassReport(
+        horn=flags.horn,
+        dual_horn=flags.dual_horn,
+        bijunctive=flags.bijunctive,
+        affine=flags.affine,
+        renamable_horn=check_renamable_horn(f),
+        separable=separable,
+        partially_horn=check_partially_horn(f),
+        renamable_partially_horn=check_renamable_partially_horn(f),
+        pic=check_pic(f),
+        lpic=check_lpic(f),
+        notes=classify_formula(f).notes,
+    )
+
+
+def _no_admissible_formula(rng):
+    # an unsatisfiable 2-clause core on {1, 2} and every other variable in
+    # some xor clause, so V0 is empty and lpic rests on the component split;
+    # random 2-clauses join components and make some splits fail
+    n = rng.randint(3, 8)
+    clauses = [Clause.disjunction(*lits) for lits in ((1, 2), (1, -2), (-1, 2), (-1, -2))]
+    rest = list(range(3, n + 1))
+    rng.shuffle(rest)
+    while rest:
+        width = rng.randint(1, min(3, len(rest)))
+        clauses.append(Clause.exclusive_or(*(v if rng.random() < 0.5 else -v for v in rest[:width])))
+        rest = rest[width:]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(1, n + 1), 2)
+        clauses.append(Clause.disjunction(a, -b))
+    return Formula(n, tuple(clauses))
+
+
+def test_classify_formula_equals_the_standalone_recognizers(phi):
+    rng = random.Random(57)
+    formulas = list(phi.values()) + [_split_components(k) for k in (1, 2, 3)]
+    formulas += [_random_formula(rng) for _ in range(2000)]
+    formulas += [_no_admissible_formula(rng) for _ in range(300)]
+    for f in formulas:
+        assert classify_formula(f) == _standalone_report(f), f
 
 
 def test_verify_lpic_matches_plain_loop_reference():
