@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import aggregate, oracle, recognize, synthesize
 from .domain import DEFAULT_TUPLE_CAP, parse_domain, render_domain
@@ -305,9 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

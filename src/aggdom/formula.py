@@ -271,20 +271,22 @@ def evaluate(f: Formula, a: Iterable[int]) -> bool:
     return all(clause_satisfied(clause, a) for clause in f.clauses)
 
 
+def _repeat(block: int, period: int, size: int) -> int:
+    """block, `period` bits wide, repeated to fill `size` bits (both powers of
+    two) by shift-or doubling."""
+    while period < size:
+        block |= block << period
+        period <<= 1
+    return block
+
+
 def _variable_masks(n: int) -> list[int]:
     """masks[v-1] has bit p set iff assignment #p gives variable v the value 1.
 
     Assignment #p reads p in binary with x1 as the most significant bit.
     """
-    size = 1 << n
-    masks = []
-    for v in range(1, n + 1):
-        half = 1 << (n - v)
-        period = half << 1
-        unit = ((1 << half) - 1) << half
-        repunit = ((1 << size) - 1) // ((1 << period) - 1)
-        masks.append(unit * repunit)
-    return masks
+    halves = (1 << (n - v) for v in range(1, n + 1))
+    return [_repeat(((1 << half) - 1) << half, half << 1, 1 << n) for half in halves]
 
 
 def satisfying_mask(f: Formula, masks: list[int] | None = None) -> int:

@@ -2,14 +2,17 @@
 and, when the structure allows it, to a possibility or local possibility
 integrity constraint.
 
-The prime CNF is built by maxterm shrinking on packed ints: every excluded
-assignment contributes the clause falsified only by it, and its literals are
-greedily deleted (ascending variable index) while every member still
-satisfies the clause, one test per literal on bit-sliced member columns (one
-|D|-bit int per variable).  Duplicates are dropped, and clauses that others
-make redundant are pruned greedily, longest first, on 2^n-bit masks of the
-assignments they falsify.  Each kept clause is certified prime and the model
-set is machine-checked.  No O(|D| n) clause bound is promised, only correctness.
+The prime CNF is built by maxterm shrinking: every excluded assignment
+contributes the clause falsified only by it, and its literals are greedily
+deleted (ascending variable index) while every member still satisfies the
+clause.  The shrinking runs for all assignments at once on masks with one
+bit per assignment (`_shrunk_clauses`): O(n |D|) big-int operations per
+window of assignments, windows sized so that the sweep holds about
+`_SWEEP_BITS` bits, plus O(n) per distinct clause to read the clauses off.
+Duplicates are dropped, and clauses that others make redundant are pruned
+greedily, longest first, on 2^n-bit masks of the assignments they falsify.
+Each kept clause is certified prime and the model set is machine-checked.
+No O(|D| n) clause bound is promised, only correctness.
 
 Each domain is analysed once: one prime CNF, its affineness, separable split
 and renamable-partially-Horn witness (`_DomainAnalysis`), from which both the
@@ -21,6 +24,7 @@ back with unit clauses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -39,6 +43,7 @@ from .formula import (
     Clause,
     ClauseKind,
     Formula,
+    _repeat,
     _variable_masks,
     models,
     satisfying_mask,
@@ -81,34 +86,93 @@ def prime_cnf(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> PrimeFormula:
     n = d.n
     if n > cap:
         raise CapExceededError(f"prime CNF synthesis needs n <= {cap}, got n={n}")
-    ints = d.members_as_ints
-    everyone = (1 << len(ints)) - 1
-    # ones[v]: the members with x_{v+1} = 1, one bit per member
-    ones = [sum(1 << i for i, m in enumerate(ints) if (m >> (n - 1 - v)) & 1) for v in range(n)]
-    member_positions = frozenset(ints)
-    clauses: dict[tuple[int, ...], None] = {}  # in order of first appearance
-    suffix = [0] * (n + 1)
-    for p in range(1 << n):
-        if p in member_positions:
-            continue
-        # sat[v]: the members satisfying literal v of the clause falsified by p
-        sat = [ones[v] ^ everyone if (p >> (n - 1 - v)) & 1 else ones[v] for v in range(n)]
-        for v in range(n - 1, -1, -1):
-            suffix[v] = suffix[v + 1] | sat[v]
-        # keep literal v iff a member satisfies it and no kept or later literal
-        kept = 0
-        clause = []
-        for v in range(n):
-            if sat[v] & ~(kept | suffix[v + 1]):
-                kept |= sat[v]
-                clause.append(-(v + 1) if (p >> (n - 1 - v)) & 1 else v + 1)
-        clauses.setdefault(tuple(clause))
-    formula = Formula(n, tuple(Clause.disjunction(*c) for c in _prune_redundant(list(clauses), n)))
-    _check_prime_cnf(formula, d)
+    masks = _variable_masks(n)
+    clauses = _shrunk_clauses(d.members_as_ints, n, masks)
+    formula = Formula(n, tuple(Clause.disjunction(*c) for c in _prune_redundant(clauses, n, masks)))
+    _check_prime_cnf(formula, d, masks)
     return PrimeFormula(formula, prime_certified=True)
 
 
-def _prune_redundant(clauses, n: int) -> list[tuple[int, ...]]:
+# Bits of agree masks per sweep window: |D| masks of 2^w bits each, for the
+# largest w <= n that fits.
+_SWEEP_BITS = 1 << 26
+
+
+def _shrunk_clauses(ints: tuple[int, ...], n: int, masks: list[int]) -> list[tuple[int, ...]]:
+    """The shrunk clause of every non-member, without repeats, in order of
+    first appearance (non-members ascending).
+
+    Non-member p's clause keeps the literal on variable v (falsified by p)
+    iff some member m differs from p at v, agrees with p after v, and agrees
+    with p on every literal kept before v.  That is decided for all p at once
+    on masks with one bit per assignment: kept[v] is the OR over the members
+    m of agree[m] (the p that agree with m on the literals they kept so far)
+    and-ed with the periodic mask of the p whose low bits are m's with bit v
+    flipped.  The clauses are then read off lowest p first, and each one
+    clears every p with the same kept literals.  The assignments are swept in
+    aligned windows of 2^w positions so that the agree masks stay within
+    _SWEEP_BITS.
+    """
+    w = max(0, min(n, (_SWEEP_BITS // len(ints)).bit_length() - 1))
+    size = 1 << w
+    full = (1 << size) - 1
+    nbytes = (size + 7) >> 3
+    # ones[b]: the window positions whose bit b is 1, for b < w
+    ones = (masks if w == n else _variable_masks(w))[::-1]
+    # every[b]: one bit every 2^(b+1) window positions, from position 0
+    every = [_repeat(1, 2 << b, size) for b in range(w)]
+    clauses: dict[tuple[int, ...], None] = {}
+    for base in range(0, 1 << n, size):
+        agree = [full] * len(ints)
+        # kept[v]: its mask as bytes (for bit tests), the kept p with bit 0
+        # at v, those with bit 1 at v, and the p that drop v
+        kept = []
+        for b in range(n - 1, -1, -1):  # bit b of a position is variable n - b
+            half = 1 << b
+            low = (half << 1) - 1
+            if b < w:
+                pattern = every[b]
+                mask = reduce(or_, ((pattern << ((m ^ half) & low)) & a for m, a in zip(ints, agree)), 0)
+                one = ones[b]
+            else:  # bit b is constant on the window: each m marks at most one p
+                offset = base & low
+                mask = 0
+                for m, a in zip(ints, agree):
+                    j = ((m ^ half) & low) - offset
+                    if 0 <= j < size:
+                        mask |= a & (1 << j)
+                one = full if base & half else 0
+            kept_one = mask & one
+            kept_zero = mask ^ kept_one
+            kept.append((mask.to_bytes(nbytes, "little"), kept_zero, kept_one, full ^ mask))
+            if b:
+                # a member stops agreeing with the p that keep v and differ from it at v
+                unless_one, unless_zero = full ^ kept_zero, full ^ kept_one
+                for i, m in enumerate(ints):
+                    agree[i] &= unless_one if m & half else unless_zero
+        del agree
+        left = full ^ sum(1 << (m - base) for m in ints[bisect_left(ints, base):bisect_left(ints, base + size)])
+        while left:
+            j = (left & -left).bit_length() - 1
+            p = base + j
+            same = left  # the p' left whose clause equals p's
+            clause = []
+            for v, (bits, kept_zero, kept_one, not_kept) in enumerate(kept):
+                if (bits[j >> 3] >> (j & 7)) & 1:
+                    if (p >> (n - 1 - v)) & 1:
+                        clause.append(-(v + 1))
+                        same &= kept_one
+                    else:
+                        clause.append(v + 1)
+                        same &= kept_zero
+                else:
+                    same &= not_kept
+            clauses.setdefault(tuple(clause))
+            left ^= same
+    return list(clauses)
+
+
+def _prune_redundant(clauses, n: int, ones: list[int]) -> list[tuple[int, ...]]:
     """Drop clauses whose removal keeps the model set, longest first.
 
     A clause goes when every assignment it falsifies (a 2^n-bit mask) is
@@ -118,7 +182,6 @@ def _prune_redundant(clauses, n: int) -> list[tuple[int, ...]]:
     alive for k clauses rather than k.
     """
     full = (1 << (1 << n)) - 1
-    ones = _variable_masks(n)
 
     def falsified(clause):
         return reduce(and_, (ones[-l - 1] if l < 0 else ones[l - 1] ^ full for l in clause), full)
@@ -143,7 +206,7 @@ def _prune_redundant(clauses, n: int) -> list[tuple[int, ...]]:
     return [c for c in clauses if c not in removed]
 
 
-def _check_prime_cnf(formula: Formula, d: Domain):
+def _check_prime_cnf(formula: Formula, d: Domain, masks: list[int] | None = None):
     ints = d.members_as_ints
     for clause in formula.clauses:
         signed = list(clause.or_part)
@@ -156,7 +219,7 @@ def _check_prime_cnf(formula: Formula, d: Domain):
         # prime: every literal is, for some member, the only satisfied one
         if reduce(or_, (s for s in sat if not s & (s - 1)), 0) != variables:
             raise VerificationError(f"clause {signed} is not prime")
-    if satisfying_mask(formula) & ~sum(1 << m for m in ints):
+    if satisfying_mask(formula, masks) & ~sum(1 << m for m in ints):
         raise VerificationError("synthesized formula admits a non-member")
 
 

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aggdom
+from aggdom import cli
 from aggdom.cli import main
 from aggdom import parse_domain, parse_formula, models
+
+from util import count_calls
 
 PHI7 = "p ecnf 3 2\n-1 2 3 0\n1 -2 -3 0\n"
 PHI6 = "p ecnf 5 3\n-1 2 3 4 0\n1 -2 -3 0\n-4 5 0\n"
@@ -117,6 +120,32 @@ def test_library_runs_without_numpy(files):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == [[0, 0, 0, 1], False]
+
+
+def _fresh_run(argv):
+    """Exit code, stdout and stderr of `argv` in a new interpreter."""
+    src = str(Path(aggdom.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys\nfrom aggdom.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_one_parser_serves_a_bad_then_a_good_argv(files, capsys, monkeypatch):
+    # the argument parser is built once per process; a failed parse must not
+    # change what the next call prints
+    builds = count_calls(monkeypatch, cli, "build_parser")
+    cli._parser.cache_clear()
+    bad = ["synthesize", files["mod14.dom"], "--no-such-flag"]
+    good = ["synthesize", files["mod14.dom"], "--json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(bad)
+    in_process = [(exit_info.value.code, *capsys.readouterr())]
+    code = main(good)
+    in_process.append((code, *capsys.readouterr()))
+    assert len(builds) == 1
+    assert in_process == [_fresh_run(bad), _fresh_run(good)]
+    assert in_process[0][0] == 2 and in_process[1][0] == 0
 
 
 def test_aggregator_check(files, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import random
 import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -21,8 +23,9 @@ from aggdom import (
     prime_cnf,
 )
 from aggdom.oracle import brute_binary, brute_ternary_commutative
-from aggdom.formula import position_to_assignment
-from aggdom.synthesize import _check_prime_cnf, lpic_analysis
+from aggdom import synthesize
+from aggdom.formula import _variable_masks, position_to_assignment
+from aggdom.synthesize import _check_prime_cnf, _shrunk_clauses, lpic_analysis
 
 from util import is_prime_implicate, reference_prime_cnf
 
@@ -66,16 +69,52 @@ def test_prime_cnf_random_domains_and_primality():
             assert is_prime_implicate(clause.or_part, d.members)
 
 
+def _random_domain(rng, n, size):
+    positions = rng.sample(range(1 << n), size)
+    return Domain(n, tuple(position_to_assignment(p, n) for p in positions))
+
+
 def test_prime_cnf_matches_plain_loop_reference():
     # the clauses and their order, not just the model set
     rng = random.Random(29)
     for _ in range(60):
-        n = rng.randint(1, 7)
-        size = rng.randint(1, min(40, 1 << n))
-        positions = rng.sample(range(1 << n), size)
-        d = Domain(n, tuple(position_to_assignment(p, n) for p in positions))
+        n = rng.randint(1, 10)
+        d = _random_domain(rng, n, rng.randint(1, min(40, 1 << n)))
         clauses = [c.or_part for c in prime_cnf(d).formula.clauses]
         assert clauses == reference_prime_cnf(d.members, n), d
+
+
+@pytest.mark.parametrize("bits", [1, 24, 700])
+def test_windowed_sweep_matches_plain_loop_reference(bits, monkeypatch):
+    # a small window budget splits the 2^n assignments into many windows
+    monkeypatch.setattr(synthesize, "_SWEEP_BITS", bits)
+    rng = random.Random(bits)
+    windows = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        d = _random_domain(rng, n, rng.randint(1, min(60, 1 << n)))
+        clauses = [c.or_part for c in prime_cnf(d).formula.clauses]
+        assert clauses == reference_prime_cnf(d.members, n), d
+        width = max(0, min(n, (bits // len(d)).bit_length() - 1))
+        windows = max(windows, 1 << (n - width))
+    assert windows >= 16
+
+
+def test_sweep_memory_stays_within_the_window_budget(monkeypatch):
+    # unwindowed, the 500 agree masks of 2^13 bits would take 8x the budget
+    bits = 1 << 19
+    monkeypatch.setattr(synthesize, "_SWEEP_BITS", bits)
+    rng = random.Random(3)
+    ints = tuple(sorted(rng.sample(range(1 << 13), 500)))
+    masks = _variable_masks(13)
+    tracemalloc.start()
+    try:
+        clauses = _shrunk_clauses(ints, 13, masks)
+        kept, peak = tracemalloc.get_traced_memory()  # kept: the clause list
+    finally:
+        tracemalloc.stop()
+    assert clauses
+    assert peak - kept < 3 * bits // 8
 
 
 @pytest.mark.parametrize(
@@ -311,6 +350,16 @@ def test_round_trip_sampled_n4():
         if lpic is not None:
             assert models(lpic.formula) == d
             assert check_lpic(lpic.formula) is not None
+
+
+@pytest.mark.slow
+def test_prime_cnf_n20_within_ten_seconds():
+    d = _random_domain(random.Random(20), 20, 200)
+    start = time.perf_counter()
+    result = prime_cnf(d)
+    assert time.perf_counter() - start < 10
+    assert result.prime_certified
+    assert models(result.formula) == d
 
 
 @pytest.mark.slow
