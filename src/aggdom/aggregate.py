@@ -3,16 +3,19 @@ property predicates, combinators, and theorem-backed domain classification.
 
 Classification builds every witness from a syntactic witness produced by the
 synthesis pipeline, never by search; the brute-force search lives in the
-oracle module and is used only for cross-validation.  Every positive verdict
-re-verifies its witness with the closure check plus the property predicate.
-All verdicts of a domain are read from one analysis (one prime CNF), and a
+oracle module and is used only for cross-validation.  Each witness goes
+through the closure kernel once, where it is built, and every positive
+verdict then checks its own property predicate on it.  The systematic
+family (closure under and, or, maj, xor3) is read off the syntactic class of
+the certified prime CNF and off affineness, with no closure check.  All
+verdicts of a domain are read from one analysis (one prime CNF), and a
 degenerate domain goes through the synthesis module's one degenerate-domain
 path: classified on its free coordinates, then lifted back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .boolfn import (
@@ -30,12 +33,11 @@ from .domain import (
     DEFAULT_TUPLE_CAP,
     Domain,
     escaping_tuple,
-    is_closed_under,
     rename_domain,
 )
 from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError, _content_lines
 from .formula import DEFAULT_MODELS_CAP
-from .recognize import LpicWitness, RPHWitness, SeparabilityWitness
+from .recognize import LpicWitness, RPHWitness, SeparabilityWitness, check_syntactic_class
 from .synthesize import SynthesisResult, _analyse, _free_part, _lpic_from, _pic_from
 from .synthesize import prime_cnf  # noqa: F401  bench/tests/test_bench.py traces it at this binding
 
@@ -60,9 +62,8 @@ class Aggregator:
         return self.components[0].arity
 
     def describe(self) -> tuple[str, ...]:
-        return tuple(
-            fn_name(f) or "t " + "".join(map(str, f.table)) for f in self.components
-        )
+        names = {f: fn_name(f) or "t " + "".join(map(str, f.table)) for f in set(self.components)}
+        return tuple(names[f] for f in self.components)
 
     def __repr__(self):
         return "Aggregator(" + ", ".join(self.describe()) + ")"
@@ -262,7 +263,16 @@ class Verdict:
     holds: bool
     witness: Aggregator | None = None
     method: str = ""
-    counterexample: tuple | None = None
+
+
+VERDICTS = (
+    "possibility",
+    "local_possibility",
+    "anonymous",
+    "monotone_nondictatorial",
+    "strongdem",
+    "non_generalized_dictatorship",
+)
 
 
 @dataclass(frozen=True)
@@ -280,14 +290,7 @@ class DomainClassification:
     lpic: SynthesisResult | None
 
     def verdicts(self) -> dict[str, bool]:
-        return {
-            "possibility": self.possibility.holds,
-            "local_possibility": self.local_possibility.holds,
-            "anonymous": self.anonymous.holds,
-            "monotone_nondictatorial": self.monotone_nondictatorial.holds,
-            "strongdem": self.strongdem.holds,
-            "non_generalized_dictatorship": self.non_generalized_dictatorship.holds,
-        }
+        return {name: getattr(self, name).holds for name in VERDICTS}
 
 
 def _components_by_sets(n: int, assignment: dict[str, set[int]], default: str, arity: int) -> Aggregator:
@@ -295,8 +298,8 @@ def _components_by_sets(n: int, assignment: dict[str, set[int]], default: str, a
     for name, variables in assignment.items():
         for v in variables:
             names[v] = name
-    fns = tuple(named_fn(names.get(v, default), arity) for v in range(1, n + 1))
-    return Aggregator(fns)
+    fns = {name: named_fn(name, arity) for name in {default, *assignment}}
+    return Aggregator(tuple(fns[names.get(v, default)] for v in range(1, n + 1)))
 
 
 def _binary_from_rph(n: int, witness: RPHWitness) -> Aggregator:
@@ -326,12 +329,26 @@ def _ternary_from_lpic(n: int, witness: LpicWitness) -> Aggregator:
     )
 
 
-def _checked(F: Aggregator, d: Domain, predicate, label: str, tuple_cap: int) -> Aggregator:
-    if not is_aggregator(F, d, tuple_cap):
-        raise VerificationError(f"{label} witness is not an aggregator: {F}")
+def _witness_check(d: Domain, tuple_cap: int):
+    """check(F, label) -> F, raising VerificationError unless F is an
+    aggregator for d; each distinct witness goes through the kernel once."""
+    checked: set[Aggregator] = set()
+
+    def check(F: Aggregator, label: str) -> Aggregator:
+        if F not in checked:
+            if not is_aggregator(F, d, tuple_cap):
+                raise VerificationError(f"{label} witness is not an aggregator: {F}")
+            checked.add(F)
+        return F
+
+    return check
+
+
+def _verdict(F: Aggregator, predicate, label: str, method: str) -> Verdict:
+    """A positive verdict on a witness that the kernel already accepted."""
     if not predicate(F):
         raise VerificationError(f"{label} witness fails its property: {F}")
-    return F
+    return Verdict(True, F, method)
 
 
 def classify_domain(
@@ -344,7 +361,8 @@ def classify_domain(
 
     Under the permissive policy a degenerate domain is classified through its
     projection onto the free coordinates; witnesses are extended back with
-    `and`-type components on the fixed coordinates.
+    `and`-type components on the fixed coordinates.  `tuple_cap` bounds only
+    the kernel checks on the witnesses.
     """
     if not d.members:
         raise EmptyDomainError("cannot classify an empty domain")
@@ -360,32 +378,31 @@ def _classify(d: Domain, cap: int, tuple_cap: int) -> DomainClassification:
     pic_result = _pic_from(d, a, cap)
     lpic_result, lpic_reason = _lpic_from(d, a, cap)
     n = d.n
+    # every witness is checked where it is built, in the order the verdicts read them
+    check = _witness_check(d, tuple_cap)
+    minority = check(systematic(named_fn("xor3"), n), "affine minority") if a.affine else None
     # the binary witness of the separable split or, failing that, of the RPH witness
     if a.separable is not None:
-        binary = _binary_from_separable(n, a.separable)
+        binary = check(_binary_from_separable(n, a.separable), "binary")
     elif a.rph is not None:
-        binary = _binary_from_rph(n, a.rph)
+        binary = check(_binary_from_rph(n, a.rph), "binary")
     else:
         binary = None
 
     if pic_result is None:
         possibility = Verdict(False, None, "synthesis-reject")
     else:
-        base = systematic(named_fn("xor3"), n) if a.affine else binary
-        nondictatorial = lambda F: not is_dictatorial(F)
-        possibility_witness = _checked(base, d, nondictatorial, "possibility", tuple_cap)
-        possibility = Verdict(True, possibility_witness, f"pic-{pic_result.kind}")
+        base = minority if a.affine else binary
+        possibility = _verdict(base, lambda F: not is_dictatorial(F), "possibility", f"pic-{pic_result.kind}")
 
     # local possibility via the lpic construction
     if lpic_result is not None:
         lw = lpic_result.witness
-        ternary = _checked(
-            _ternary_from_lpic(n, lw), d, is_locally_nondictatorial, "local-possibility", tuple_cap
-        )
-        local_possibility = Verdict(True, ternary, "lpic")
-        anonymous = Verdict(True, _checked(ternary, d, is_anonymous, "anonymous", tuple_cap), "lpic")
+        ternary = check(_ternary_from_lpic(n, lw), "lpic")
+        local_possibility = _verdict(ternary, is_locally_nondictatorial, "local-possibility", "lpic")
+        anonymous = _verdict(ternary, is_anonymous, "anonymous", "lpic")
         if not lw.v2:
-            strongdem = Verdict(True, _checked(ternary, d, is_strongdem, "strongdem", tuple_cap), "xor-free-lpic")
+            strongdem = _verdict(ternary, is_strongdem, "strongdem", "xor-free-lpic")
         else:
             strongdem = Verdict(False, None, "lpic-needs-xor-part")
     else:
@@ -393,16 +410,17 @@ def _classify(d: Domain, cap: int, tuple_cap: int) -> DomainClassification:
 
     # monotone non-dictatorial: separable or renamable partially Horn
     if binary is not None:
-        witness = _checked(
-            binary, d, lambda F: is_monotone(F) and not is_dictatorial(F), "monotone", tuple_cap
+        monotone = _verdict(
+            binary, lambda F: is_monotone(F) and not is_dictatorial(F), "monotone", "separable-or-rph"
         )
-        monotone = Verdict(True, witness, "separable-or-rph")
     else:
         monotone = Verdict(False, None, "no-separable-or-rph-constraint")
 
-    family = tuple(
-        name for name in ("and", "or", "maj", "xor3") if is_closed_under(d, named_fn(name), tuple_cap)
-    )
+    # Closure under and, or and maj is Horn, dual Horn and bijunctive: every
+    # prime implicate of such a function is of that form, so the certified
+    # prime CNF shows it clause by clause, with no closure check.
+    syntactic = check_syntactic_class(a.prime)
+    closed = (syntactic.horn, syntactic.dual_horn, syntactic.bijunctive, a.affine)
     return DomainClassification(
         size=len(d.members),
         degenerate_coordinates=(),
@@ -411,31 +429,31 @@ def _classify(d: Domain, cap: int, tuple_cap: int) -> DomainClassification:
         anonymous=anonymous,
         monotone_nondictatorial=monotone,
         strongdem=strongdem,
-        non_generalized_dictatorship=_classify_non_generalized_dictatorship(d, a, binary, possibility, tuple_cap),
-        systematic_family=family,
+        non_generalized_dictatorship=_classify_non_generalized_dictatorship(
+            d, a, binary, minority, possibility, check, tuple_cap
+        ),
+        systematic_family=tuple(name for name, c in zip(("and", "or", "maj", "xor3"), closed) if c),
         pic=pic_result,
         lpic=lpic_result,
     )
 
 
-def _classify_non_generalized_dictatorship(d: Domain, a, binary, possibility, tuple_cap) -> Verdict:
+def _classify_non_generalized_dictatorship(d: Domain, a, binary, minority, possibility, check, tuple_cap) -> Verdict:
     if len(d.members) < 3:
         return Verdict(False, None, "two-element-domain")
     if not possibility.holds:
         return Verdict(False, None, "impossibility")
     n = d.n
-
-    def verified(F: Aggregator, method: str) -> Verdict:
-        not_gendict = lambda G: not is_generalized_dictatorship(G, d, tuple_cap)
-        return Verdict(True, _checked(F, d, not_gendict, "non-generalized-dictatorship", tuple_cap), method)
+    not_gendict = lambda F: not is_generalized_dictatorship(F, d, tuple_cap)
+    label = "non-generalized-dictatorship"
 
     if a.affine:
-        return verified(systematic(named_fn("xor3"), n), "affine-minority")
+        return _verdict(minority, not_gendict, label, "affine-minority")
     if a.separable is not None or len(a.rph.admissible) < n:
         # a separable split, or a projection component: never a generalized dictatorship
-        return verified(binary, "non-symmetric-binary")
+        return _verdict(binary, not_gendict, label, "non-symmetric-binary")
     if not is_generalized_dictatorship(binary, d, tuple_cap):
-        return verified(binary, "symmetric-binary")
+        return Verdict(True, binary, "symmetric-binary")
     # All-symmetric witness that is a generalized dictatorship: complement the
     # or-coordinates, where the witness becomes all-and and the members form a
     # chain under bitwise dominance; joining everything below the top member
@@ -456,38 +474,29 @@ def _classify_non_generalized_dictatorship(d: Domain, a, binary, possibility, tu
         else f
         for j, f in enumerate(swapped.components)
     )
-    return verified(Aggregator(components), "total-order-construction")
+    return _verdict(check(Aggregator(components), "total-order"), not_gendict, label, "total-order-construction")
 
 
 def _lift_classification(inner: DomainClassification, d: Domain, fixed, lift, tuple_cap) -> DomainClassification:
     """Extend a classification of the free coordinates back to d: witnesses
     get `and`-type components on the fixed coordinates, constraints their
-    unit clauses."""
+    unit clauses.  Verdicts that share an inner witness share its extension,
+    which is checked once."""
+    check = _witness_check(d, tuple_cap)
 
     def lift_verdict(verdict: Verdict) -> Verdict:
         if verdict.witness is None:
             return verdict
-        arity = verdict.witness.k
-        fill = named_fn("and" if arity == 2 else "and3")
-        components = []
-        inner_iter = iter(verdict.witness.components)
-        for v in range(1, d.n + 1):
-            components.append(fill if v in fixed else next(inner_iter))
-        F = Aggregator(tuple(components))
-        if not is_aggregator(F, d, tuple_cap):
-            raise VerificationError("permissive witness extension failed")
-        return Verdict(verdict.holds, F, verdict.method + "+fixed-coordinates", verdict.counterexample)
+        fill = named_fn("and" if verdict.witness.k == 2 else "and3")
+        components = iter(verdict.witness.components)
+        F = Aggregator(tuple(fill if v in fixed else next(components) for v in range(1, d.n + 1)))
+        return Verdict(verdict.holds, check(F, "permissive extension"), verdict.method + "+fixed-coordinates")
 
-    return DomainClassification(
+    return replace(
+        inner,
         size=len(d.members),
         degenerate_coordinates=tuple(sorted(fixed.items())),
-        possibility=lift_verdict(inner.possibility),
-        local_possibility=lift_verdict(inner.local_possibility),
-        anonymous=lift_verdict(inner.anonymous),
-        monotone_nondictatorial=lift_verdict(inner.monotone_nondictatorial),
-        strongdem=lift_verdict(inner.strongdem),
-        non_generalized_dictatorship=lift_verdict(inner.non_generalized_dictatorship),
-        systematic_family=inner.systematic_family,
         pic=lift(inner.pic),
         lpic=lift(inner.lpic),
+        **{name: lift_verdict(getattr(inner, name)) for name in VERDICTS},
     )

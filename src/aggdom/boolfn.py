@@ -81,14 +81,17 @@ def named_fn(name: str, k: int | None = None) -> BoolFn:
     raise ValueError(f"unknown function name {name!r}")
 
 
+@cache
+def _fixed_names() -> dict[BoolFn, str]:
+    """Each fixed-arity named function mapped back to its name, built once."""
+    return {named_fn(name): name for name in ("id", "and", "or", "and3", "or3", "maj", "xor3")}
+
+
 def fn_name(f: BoolFn) -> str | None:
     """The conventional name of f, or None if it has no short name."""
-    for name in ("id", "and", "or", "and3", "or3", "maj", "xor3"):
-        try:
-            if named_fn(name) == f:
-                return name
-        except ValueError:
-            pass
+    name = _fixed_names().get(f)
+    if name is not None:
+        return name
     for d in range(1, f.arity + 1):
         if pr(d, f.arity) == f:
             return f"pr{d}"

@@ -115,23 +115,9 @@ def cmd_classify_domain(args) -> int:
     policy = "permissive" if args.permissive else "strict"
     result = aggregate.classify_domain(d, policy=policy, cap=args.cap_models, tuple_cap=args.cap_tuples)
     records = []
-    for name, verdict in [
-        ("possibility", result.possibility),
-        ("local_possibility", result.local_possibility),
-        ("anonymous", result.anonymous),
-        ("monotone_nondictatorial", result.monotone_nondictatorial),
-        ("strongdem", result.strongdem),
-        ("non_generalized_dictatorship", result.non_generalized_dictatorship),
-    ]:
-        records.append(
-            _record(
-                name,
-                verdict.holds,
-                verdict.witness if args.witness else None,
-                verdict.method,
-                verdict.counterexample,
-            )
-        )
+    for name in aggregate.VERDICTS:
+        verdict = getattr(result, name)
+        records.append(_record(name, verdict.holds, verdict.witness if args.witness else None, verdict.method))
     records.append(_record("systematic_family", bool(result.systematic_family), None,
                            ",".join(result.systematic_family)))
     _emit(records, args.json)

@@ -15,6 +15,7 @@ from aggdom import (
     diamond,
     is_aggregator,
     is_anonymous,
+    is_closed_under,
     is_dictatorial,
     is_generalized_dictatorship,
     is_locally_nondictatorial,
@@ -334,6 +335,54 @@ def test_classify_domain_builds_one_prime_cnf(mod, monkeypatch):
             classify_domain(d, policy=policy)
             assert len(calls) == 1, (policy, d)
             monkeypatch.undo()
+
+
+def test_classify_domain_sends_each_kernel_input_once(mod, monkeypatch):
+    from aggdom import aggregate, domain
+
+    strict = [mod[k] for k in (7, 9, 10, 11, 12, 13, 14)]
+    permissive = [
+        Domain(4, [row + (1,) for row in mod[14].members]),
+        Domain(4, [(0,) + row for row in mod[12].members]),
+    ]
+    witness_checks = 0
+    for policy, domains_ in (("strict", strict), ("permissive", permissive)):
+        for d in domains_:
+            inputs, closure_checks = [], count_calls(monkeypatch, domain, "escaping_tuple")
+
+            def kernel(d_, tables, tuple_cap=DEFAULT_TUPLE_CAP, own_rows=False, original=aggregate.escaping_tuple):
+                inputs.append((d_, tuple(map(tuple, tables)), own_rows))
+                return original(d_, tables, tuple_cap, own_rows)
+
+            monkeypatch.setattr(aggregate, "escaping_tuple", kernel)
+            classify_domain(d, policy=policy)
+            assert len(set(inputs)) == len(inputs), (policy, d)
+            assert closure_checks == [], (policy, d)  # the family needs no closure check
+            witness_checks += len(inputs)
+            monkeypatch.undo()
+    assert witness_checks > 0
+
+
+def _closure_family(d):
+    return tuple(name for name in ("and", "or", "maj", "xor3") if is_closed_under(d, named_fn(name)))
+
+
+def test_systematic_family_is_the_closure_family():
+    from aggdom.oracle import census_domains
+
+    for n in (1, 2, 3):
+        for _mask, d in census_domains(n):
+            assert classify_domain(d).systematic_family == _closure_family(d), d
+    for _mask, d in census_domains(4, mode="sample", sample=2000, seed=4):
+        assert classify_domain(d).systematic_family == _closure_family(d), d
+
+
+@pytest.mark.slow
+def test_systematic_family_is_the_closure_family_exhaustive_n4():
+    from aggdom.oracle import census_domains
+
+    for _mask, d in census_domains(4):
+        assert classify_domain(d).systematic_family == _closure_family(d), d
 
 
 def test_permissive_classification_lifts_the_synthesized_constraints():

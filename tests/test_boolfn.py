@@ -6,6 +6,7 @@ import pytest
 from aggdom.boolfn import (
     BoolFn,
     all_unanimous_tables,
+    fn_name,
     from_rule,
     is_1_immune,
     is_anonymous,
@@ -113,3 +114,18 @@ def test_all_unanimous_tables_count():
     assert sum(1 for _ in all_unanimous_tables(2)) == 4
     assert sum(1 for _ in all_unanimous_tables(3)) == 64
     assert all(is_unanimous(f) for f in all_unanimous_tables(3))
+
+
+def test_fn_name_reverses_named_fn_and_pr():
+    expected = {}
+    for name in ("id", "and", "or", "and3", "or3", "maj", "xor3"):
+        assert fn_name(named_fn(name)) == name
+        expected[named_fn(name)] = name
+    assert fn_name(pr(1, 1)) == "id"  # the unary projection is the identity
+    for k in (2, 3, 4):
+        for d in range(1, k + 1):
+            assert fn_name(pr(d, k)) == f"pr{d}"
+            expected[pr(d, k)] = f"pr{d}"
+    for k in (1, 2, 3):
+        for f in all_unanimous_tables(k):
+            assert fn_name(f) == expected.get(f), f

@@ -223,6 +223,25 @@ def test_classify_domain_honours_caps(files, tmp_path, capsys):
     assert code == 3 and "cap exceeded" in captured.err
 
 
+def test_tuple_cap_bounds_only_witness_checks(tmp_path, capsys):
+    # mod9 has a binary witness but no lpic, so no ternary check runs: a cap
+    # between |d|^2 and |d|^3 classifies it, and one below |d|^2 does not
+    from conftest import MOD9
+
+    path = tmp_path / "mod9.dom"
+    path.write_text("d 6\n" + "".join("".join(map(str, row)) + "\n" for row in MOD9))
+    size = len(MOD9)
+    code = main(["--cap-tuples", str(size**3 - 1), "classify-domain", str(path), "--json"])
+    records = {r["class"]: r["verdict"] for r in json.loads(capsys.readouterr().out)}
+    assert code == 0
+    assert records["possibility"] and not records["local_possibility"]
+    code = main(["--cap-tuples", str(size**2), "classify-domain", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    code = main(["--cap-tuples", str(size**2 - 1), "classify-domain", str(path)])
+    assert code == 3 and "cap exceeded" in capsys.readouterr().err
+
+
 def test_degenerate_domain_strict_vs_permissive(tmp_path, capsys):
     path = tmp_path / "deg.dom"
     path.write_text("d 2\n00\n01\n")
