@@ -5,11 +5,13 @@ census runs both paths over every small domain and reports any disagreement.
 Candidate tuples are enumerated lexicographically over a fixed component
 ordering (and < or < pr1 < pr2 for the binary set, and3 < or3 < maj < xor3
 for the ternary commutative set) so that returned witnesses are reproducible.
-Members are packed into machine integers.  Per domain, the member pairs
-(triples) are reduced once to a basis list of the images every component
-function can take, so checking a candidate is one pass of a few bitwise
-operations per basis entry; any find is re-verified through the shared
-closure kernel (`aggregate.is_aggregator`) before being reported.
+Per domain and arity, every component function's image is bit-sliced over
+all ordered k-tuples of members, one column per coordinate and function.
+The search goes depth-first over the coordinates, keeping for each partial
+image the mask of tuples that have it, and cuts a branch as soon as a
+partial image is no member's prefix, so only closed candidates reach the
+last coordinate; any find is re-verified through the shared closure kernel
+(`aggregate.is_aggregator`) before being reported.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import compress, product
 
 from .aggregate import (
     Aggregator,
@@ -33,7 +35,7 @@ from .aggregate import (
     systematic,
 )
 from .boolfn import BoolFn, named_fn
-from .domain import Domain, degeneracy, is_affine
+from .domain import DEFAULT_TUPLE_CAP, Domain, degeneracy, is_affine
 from .errors import CapExceededError, VerificationError
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
@@ -69,51 +71,93 @@ class SearchSpaceSpec:
         raise ValueError(f"unknown search space {name!r}")
 
 
-def _candidates(n: int, nsets: int):
-    """(digits, masks) for every candidate, digits in the order of
-    ``product(range(nsets), repeat=n)``; masks[g] holds the coordinates whose
-    component is function g (four masks, unused ones 0).  The masks are
-    summed in one int with an n-bit field per function, choosing g at
-    coordinate j setting bit j of field g, which keeps the per-candidate
-    work in C."""
-    full = (1 << n) - 1
-    fields = [[(1 << (n - 1 - j)) << (g * n) for g in range(nsets)] for j in range(n)]
-    for digits, packed in zip(product(range(nsets), repeat=n), map(sum, product(*fields))):
-        yield digits, (packed & full, packed >> n & full, packed >> 2 * n & full, packed >> 3 * n)
+# Image columns per domain and arity: the census asks two searches of each.
+@functools.lru_cache(maxsize=2)
+def _columns(ints: tuple[int, ...], n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate, the k argument columns followed by the image columns
+    of the set's four functions (and, or, pr1, pr2 for k = 2; and3, or3,
+    maj, xor3 for k = 3).  A column is bit-sliced over the |D|^k ordered
+    member tuples: tuple (i1, .., ik) is bit i1 |D|^(k-1) + .. + ik, and the
+    argument column of position p has that bit set when member i_p has a 1
+    at the coordinate.  Each argument column is the coordinate's bits spaced
+    |D|^(k-p) apart, times one constant that spreads each bit to a block of
+    that width and tiles the result |D|^(p-1) times: no loop over tuples."""
+    size = len(ints)
+    full = (1 << size**k) - 1
+    layouts = []
+    for p in range(1, k + 1):
+        width = size ** (k - p)
+        period = (1 << size * width) - 1
+        units = [1 << i * width for i in range(size)]
+        layouts.append((units, ((1 << width) - 1) * (full // period if full else 0)))
+    columns = []
+    for shift in range(n - 1, -1, -1):
+        bits = [x >> shift & 1 for x in ints]
+        args = tuple(sum(compress(units, bits)) * spread for units, spread in layouts)
+        if k == 2:
+            a, b = args
+            images = (a & b, a | b, a, b)
+        else:
+            a, b, c = args
+            images = (a & b & c, a | b | c, (a & b) | (b & c) | (a & c), a ^ b ^ c)
+        columns.append(args + images)
+    return tuple(columns)
 
 
-# Each basis is built once per domain: the census asks two searches of each.
-@functools.lru_cache(maxsize=1)
-def _binary_basis(ints: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """(x&y, x|y, x, y) for every ordered pair of distinct members: the images
-    of and, or, pr1 and pr2.  Equal members map to themselves under any
-    unanimous function, so they need no check."""
-    return tuple((x & y, x | y, x, y) for x in ints for y in ints if x != y)
+def _closed_candidates(d: Domain, k: int, nsets: int):
+    """Digits of every candidate over the first `nsets` functions of the
+    arity-k set that maps every k-tuple of members into d, in the order of
+    ``product(range(nsets), repeat=d.n)``.
+
+    Depth-first over coordinates 1..n, trying functions in set order.  The
+    state at depth j maps each j-bit partial image to the mask of tuples
+    that have it; a choice splits every entry by its image column.  A branch
+    is cut as soon as some partial image is not the prefix of a member, so
+    at depth n, where the prefix test is the membership test, every leaf is
+    closed."""
+    ints, n = d.members_as_ints, d.n
+    size = len(ints)
+    if size**k > DEFAULT_TUPLE_CAP:
+        raise CapExceededError(f"|d|^k = {size}^{k} exceeds cap {DEFAULT_TUPLE_CAP}")
+    columns = _columns(ints, n, k)
+    prefixes = [{x >> (n - j) for x in ints} for j in range(n + 1)]
+    digits: list[int] = []
+
+    def walk(j, state):
+        if j == n:
+            yield tuple(digits)
+            return
+        allowed = prefixes[j + 1]
+        for g in range(nsets):
+            image = columns[j][k + g]
+            split = []
+            for prefix, mask in state:
+                one = mask & image
+                if one:
+                    prefix1 = prefix << 1 | 1
+                    if prefix1 not in allowed:
+                        break
+                    split.append((prefix1, one))
+                if one != mask:
+                    if prefix << 1 not in allowed:
+                        break
+                    split.append((prefix << 1, mask ^ one))
+            else:
+                digits.append(g)
+                yield from walk(j + 1, split)
+                digits.pop()
+
+    return walk(0, [(0, (1 << size**k) - 1)])
 
 
-@functools.lru_cache(maxsize=1)
-def _ternary_basis(ints: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """Distinct (and3, or3, maj, xor3) images over sorted member triples that
-    are not all equal.  All four functions are symmetric, so one order of a
-    triple settles every permutation of it."""
-    images = (
-        (a & b & c, a | b | c, (a & b) | (b & c) | (a & c), a ^ b ^ c)
-        for a, b, c in combinations_with_replacement(ints, 3)
-        if not a == b == c
-    )
-    return tuple(dict.fromkeys(images))
-
-
-def _closed(basis, masks: tuple[int, ...], member_set: frozenset[int]) -> bool:
-    m0, m1, m2, m3 = masks
-    for v0, v1, v2, v3 in basis:
-        if (v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) not in member_set:
-            return False
-    return True
+@functools.cache
+def _set_functions(names: tuple[str, ...], k: int) -> tuple[BoolFn, ...]:
+    return tuple(named_fn(name, k) for name in names)
 
 
 def _candidate_aggregator(digits: tuple[int, ...], names: tuple[str, ...], k: int) -> Aggregator:
-    return Aggregator(tuple(named_fn(names[g], k) for g in digits))
+    functions = _set_functions(names, k)
+    return Aggregator(tuple(functions[g] for g in digits))
 
 
 def _verify_find(F: Aggregator, d: Domain, extra=None) -> Aggregator:
@@ -129,16 +173,11 @@ def brute_binary(d: Domain, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Aggre
     aggregates d, in lexicographic candidate order; None when none exists."""
     if 4 ** d.n > candidate_cap:
         raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    basis = _binary_basis(d.members_as_ints)
-    member_set = frozenset(d.members_as_ints)
     all_pr1 = (2,) * d.n
     all_pr2 = (3,) * d.n
-    for digits, masks in _candidates(d.n, 4):
-        if digits == all_pr1 or digits == all_pr2:
-            continue
-        if _closed(basis, masks, member_set):
-            F = _candidate_aggregator(digits, BINARY_SET, 2)
-            return _verify_find(F, d)
+    for digits in _closed_candidates(d, 2, 4):
+        if digits != all_pr1 and digits != all_pr2:
+            return _verify_find(_candidate_aggregator(digits, BINARY_SET, 2), d)
     return None
 
 
@@ -150,12 +189,8 @@ def brute_ternary_commutative(
     names = TERNARY_SET if allow_xor else TERNARY_SET_NO_XOR
     if len(names) ** d.n > candidate_cap:
         raise CapExceededError(f"{len(names)}^{d.n} candidates exceed cap {candidate_cap}")
-    basis = _ternary_basis(d.members_as_ints)
-    member_set = frozenset(d.members_as_ints)
-    for digits, masks in _candidates(d.n, len(names)):
-        if _closed(basis, masks, member_set):
-            F = _candidate_aggregator(digits, TERNARY_SET, 3)
-            return _verify_find(F, d)
+    for digits in _closed_candidates(d, 3, len(names)):
+        return _verify_find(_candidate_aggregator(digits, TERNARY_SET, 3), d)
     return None
 
 
@@ -198,14 +233,16 @@ def _oracle_not_gendict(d: Domain, candidate_cap: int) -> Aggregator | None:
         return None
     if 4 ** d.n > candidate_cap:
         raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    basis = _binary_basis(d.members_as_ints)
-    member_set = frozenset(d.members_as_ints)
-    for digits, masks in _candidates(d.n, 4):
-        m0, m1, m2, m3 = masks
-        if _closed(basis, masks, member_set) and any(
-            (v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) not in (v2, v3)
-            for v0, v1, v2, v3 in basis
-        ):
+    candidates = _closed_candidates(d, 2, 4)
+    columns = _columns(d.members_as_ints, d.n, 2)
+    for digits in candidates:
+        # the tuples whose image differs from the first, and from the second, member
+        off_x = off_y = 0
+        for column, g in zip(columns, digits):
+            image = column[2 + g]
+            off_x |= image ^ column[0]
+            off_y |= image ^ column[1]
+        if off_x & off_y:
             F = _candidate_aggregator(digits, BINARY_SET, 2)
             return _verify_find(F, d, extra=lambda G: not is_generalized_dictatorship(G, d))
     if is_affine(d):

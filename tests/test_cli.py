@@ -177,6 +177,15 @@ def test_aggregator_find(files, capsys):
     assert code == 1
 
 
+def test_aggregator_find_over_the_tuple_cap_exits_three(tmp_path, capsys):
+    # 216 members: 216^3 ternary member tuples exceed the 10^7 tuple cap
+    path = tmp_path / "n8.dom"
+    path.write_text("d 8\n" + "".join(format(v, "08b") + "\n" for v in range(216)))
+    code = main(["aggregator", "find", str(path), "--kind", "strongdem"])
+    captured = capsys.readouterr()
+    assert code == 3 and "cap exceeded" in captured.err and captured.out == ""
+
+
 def test_census_command(capsys):
     code = main(["census", "2", "--json"])
     rows = json.loads(capsys.readouterr().out)

@@ -17,17 +17,19 @@ from aggdom import (
 )
 from aggdom.aggregate import is_dictatorial
 from aggdom.boolfn import fn_name
+from aggdom import oracle
 from aggdom.oracle import (
     BINARY_SET,
     TERNARY_SET,
     TERNARY_SET_NO_XOR,
     SearchSpaceSpec,
+    _closed_candidates,
     _oracle_not_gendict,
     census_domains,
     oracle_verdicts,
 )
 
-from util import brute_closed
+from util import basis_closed_candidates, basis_searches, brute_closed, count_calls
 
 
 def test_brute_binary_mod7_none(mod):
@@ -192,9 +194,9 @@ def test_all_verdicts_match_oracle_random_n5():
 
     rng = random.Random(424242)
     checked = 0
-    while checked < 90:
+    while checked < 300:
         members = set()
-        size = rng.randint(4, 16)
+        size = rng.randint(4, 24)
         while len(members) < size:
             members.add(tuple(rng.randint(0, 1) for _ in range(5)))
         d = Domain(5, tuple(members))
@@ -274,3 +276,44 @@ def test_oracle_witnesses_are_lexicographically_first():
             d, TERNARY_SET_NO_XOR, 3
         ), d
         assert _oracle_not_gendict(d, 1 << 20) == reference_not_gendict(d), d
+
+
+def _every_domain(n):
+    cube = list(product((0, 1), repeat=n))
+    for mask in range(1, 1 << len(cube)):
+        yield Domain(n, [row for i, row in enumerate(cube) if mask >> i & 1])
+
+
+def test_closed_candidates_equal_the_basis_engine_on_every_small_domain():
+    """Every non-empty domain with n <= 3, degenerate ones included: the
+    pruned depth-first search lists exactly the closed candidates that
+    testing every candidate against the basis list finds, in the same order."""
+    for n in (1, 2, 3):
+        for d in _every_domain(n):
+            for k, nsets in ((2, 4), (3, 4), (3, 3)):
+                assert list(_closed_candidates(d, k, nsets)) == list(
+                    basis_closed_candidates(d, k, nsets)
+                ), (d, k, nsets)
+
+
+def test_searches_equal_the_basis_engine_on_sampled_domains():
+    domains = [d for _mask, d in census_domains(4, mode="sample", sample=2000, seed=14)]
+    domains += [d for _mask, d in census_domains(5, mode="sample", sample=200, seed=14)]
+    for d in domains:
+        found = (
+            brute_binary(d),
+            brute_ternary_commutative(d),
+            brute_ternary_commutative(d, allow_xor=False),
+            _oracle_not_gendict(d, 1 << 20),
+        )
+        assert found == basis_searches(d), d
+
+
+def test_search_over_the_tuple_cap_stops_before_building_columns(monkeypatch):
+    # 216^3 ternary member tuples exceed DEFAULT_TUPLE_CAP = 10^7, 215^3 do not
+    columns = count_calls(monkeypatch, oracle, "_columns")
+    d = Domain(8, [tuple(int(b) for b in format(v, "08b")) for v in range(216)])
+    for allow_xor in (True, False):
+        with pytest.raises(CapExceededError, match="216\\^3"):
+            brute_ternary_commutative(d, allow_xor=allow_xor)
+    assert columns == []

@@ -5,7 +5,7 @@ assignments and tuples) so the library's packed-int and bitmask paths are
 checked against something that shares no code with them.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from aggdom.formula import ClauseKind
 
@@ -46,6 +46,90 @@ def brute_closed(members, fn):
         if image not in member_set:
             return False
     return True
+
+
+def _basis_candidates(n, nsets):
+    """(digits, masks) for every candidate, digits in the order of
+    ``product(range(nsets), repeat=n)``; masks[g] holds the coordinates whose
+    component is function g (four masks, unused ones 0)."""
+    full = (1 << n) - 1
+    fields = [[(1 << (n - 1 - j)) << (g * n) for g in range(nsets)] for j in range(n)]
+    for digits, packed in zip(product(range(nsets), repeat=n), map(sum, product(*fields))):
+        yield digits, (packed & full, packed >> n & full, packed >> 2 * n & full, packed >> 3 * n)
+
+
+def binary_basis(ints):
+    """(x&y, x|y, x, y) for every ordered pair of distinct members: the images
+    of and, or, pr1 and pr2."""
+    return [(x & y, x | y, x, y) for x in ints for y in ints if x != y]
+
+
+def ternary_basis(ints):
+    """Distinct (and3, or3, maj, xor3) images over sorted member triples that
+    are not all equal; the four functions are symmetric."""
+    images = (
+        (a & b & c, a | b | c, (a & b) | (b & c) | (a & c), a ^ b ^ c)
+        for a, b, c in combinations_with_replacement(ints, 3)
+        if not a == b == c
+    )
+    return list(dict.fromkeys(images))
+
+
+def basis_closed(basis, masks, member_set):
+    m0, m1, m2, m3 = masks
+    return all((v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) in member_set for v0, v1, v2, v3 in basis)
+
+
+def basis_closed_candidates(d, k, nsets):
+    """Digits of every closed candidate over the first nsets functions of the
+    arity-k oracle set, in product order: every candidate is tested against
+    the domain's basis list, nothing is pruned."""
+    ints = d.members_as_ints
+    basis = binary_basis(ints) if k == 2 else ternary_basis(ints)
+    member_set = frozenset(ints)
+    for digits, masks in _basis_candidates(d.n, nsets):
+        if basis_closed(basis, masks, member_set):
+            yield digits
+
+
+def basis_searches(d):
+    """What brute_binary, brute_ternary_commutative with and without xor3,
+    and the non-generalized-dictatorship search returned when every
+    candidate was tested against the domain's basis list."""
+    from aggdom import Aggregator, is_aggregator, is_generalized_dictatorship, named_fn, systematic
+    from aggdom.domain import is_affine
+    from aggdom.oracle import BINARY_SET, TERNARY_SET
+
+    def aggregator(digits, names, k):
+        return None if digits is None else Aggregator(tuple(named_fn(names[g], k) for g in digits))
+
+    ints = d.members_as_ints
+    dictators = ((2,) * d.n, (3,) * d.n)
+    binary = next((g for g in basis_closed_candidates(d, 2, 4) if g not in dictators), None)
+    ternary = next(basis_closed_candidates(d, 3, 4), None)
+    no_xor = next(basis_closed_candidates(d, 3, 3), None)
+    not_gendict = None
+    if len(ints) >= 3:
+        basis = binary_basis(ints)
+        member_set = frozenset(ints)
+        for digits, masks in _basis_candidates(d.n, 4):
+            m0, m1, m2, m3 = masks
+            if basis_closed(basis, masks, member_set) and any(
+                (v0 & m0) | (v1 & m1) | (v2 & m2) | (v3 & m3) not in (v2, v3)
+                for v0, v1, v2, v3 in basis
+            ):
+                not_gendict = aggregator(digits, BINARY_SET, 2)
+                break
+        if not_gendict is None and is_affine(d):
+            minority = systematic(named_fn("xor3"), d.n)
+            if is_aggregator(minority, d) and not is_generalized_dictatorship(minority, d):
+                not_gendict = minority
+    return (
+        aggregator(binary, BINARY_SET, 2),
+        aggregator(ternary, TERNARY_SET, 3),
+        aggregator(no_xor, TERNARY_SET, 3),
+        not_gendict,
+    )
 
 
 def satisfies(row, literals):
