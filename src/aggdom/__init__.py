@@ -81,7 +81,6 @@ from .aggregate import (
 )
 from .oracle import (
     CensusReport,
-    SearchSpaceSpec,
     brute_binary,
     brute_property,
     brute_ternary_commutative,

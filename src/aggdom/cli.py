@@ -196,16 +196,18 @@ def cmd_aggregator_check(args) -> int:
     return 0 if ok else 1
 
 
+# aggregator find --kind K: the (property tag, search space) pair it runs
+FIND_KINDS = {
+    "binary": ("nondictatorial", "binary-unanimous"),
+    "ternary-commutative": ("locally-nondictatorial", "ternary-commutative"),
+    "strongdem": ("strongdem", "ternary-commutative-no-xor"),
+    "anonymous": ("anonymous", "ternary-commutative"),
+}
+
+
 def cmd_aggregator_find(args) -> int:
     d = parse_domain(_read(args.domain))
-    if args.kind == "binary":
-        found = oracle.brute_binary(d)
-    elif args.kind == "ternary-commutative":
-        found = oracle.brute_ternary_commutative(d, allow_xor=True)
-    elif args.kind == "strongdem":
-        found = oracle.brute_ternary_commutative(d, allow_xor=False)
-    else:  # anonymous: the ternary commutative set is anonymous throughout
-        found = oracle.brute_ternary_commutative(d, allow_xor=True)
+    found = oracle.brute_property(d, *FIND_KINDS[args.kind])
     if found is None:
         print("no aggregator of the requested kind", file=sys.stderr)
         return 1
@@ -277,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aggregator_check)
     p = agg_sub.add_parser("find", help="brute-force search for an aggregator")
     p.add_argument("domain")
-    p.add_argument("--kind", required=True,
-                   choices=["binary", "ternary-commutative", "strongdem", "anonymous"])
+    p.add_argument("--kind", required=True, choices=list(FIND_KINDS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_aggregator_find)
 

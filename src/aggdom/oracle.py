@@ -2,16 +2,14 @@
 
 These searches are deliberately independent of the synthesis pipeline: the
 census runs both paths over every small domain and reports any disagreement.
-Candidate tuples are enumerated lexicographically over a fixed component
-ordering (and < or < pr1 < pr2 for the binary set, and3 < or3 < maj < xor3
-for the ternary commutative set) so that returned witnesses are reproducible.
-Per domain and arity, every component function's image is bit-sliced over
-all ordered k-tuples of members, one column per coordinate and function.
-The search goes depth-first over the coordinates, keeping for each partial
-image the mask of tuples that have it, and cuts a branch as soon as a
-partial image is no member's prefix, so only closed candidates reach the
-last coordinate; any find is re-verified through the shared closure kernel
-(`aggregate.is_aggregator`) before being reported.
+Every search is one walk, `_search`, over a named space of per-coordinate
+functions (SPACES), in lexicographic candidate order, so witnesses are
+reproducible.  Per domain and arity, every function's image is bit-sliced
+over all ordered k-tuples of members.  The walk goes depth-first over the
+coordinates, keeping for each partial image the mask of tuples that have
+it, and cuts a branch as soon as a partial image is no member's prefix.
+The first closed candidate that the search's acceptance test takes is
+re-verified through the closure kernel (`aggregate.is_aggregator`).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 
 from .aggregate import (
     Aggregator,
@@ -44,31 +42,12 @@ BINARY_SET = ("and", "or", "pr1", "pr2")
 TERNARY_SET = ("and3", "or3", "maj", "xor3")
 TERNARY_SET_NO_XOR = ("and3", "or3", "maj")
 
-
-@dataclass(frozen=True)
-class SearchSpaceSpec:
-    """Per-coordinate candidate set for the generic search engine."""
-
-    arity: int
-    candidates: tuple[BoolFn, ...]
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
-    tuple_cap: int = 10_000_000
-
-    @classmethod
-    def named(cls, name: str, k: int | None = None) -> "SearchSpaceSpec":
-        if name == "binary-unanimous":
-            return cls(2, tuple(named_fn(f, 2) for f in BINARY_SET))
-        if name == "ternary-commutative":
-            return cls(3, tuple(named_fn(f, 3) for f in TERNARY_SET))
-        if name == "ternary-commutative-no-xor":
-            return cls(3, tuple(named_fn(f, 3) for f in TERNARY_SET_NO_XOR))
-        if name == "all-unanimous":
-            if k is None:
-                raise ValueError("all-unanimous needs an explicit arity")
-            from .boolfn import all_unanimous_tables
-
-            return cls(k, tuple(all_unanimous_tables(k)))
-        raise ValueError(f"unknown search space {name!r}")
+# search space name -> (arity, per-coordinate functions in candidate order)
+SPACES = {
+    "binary-unanimous": (2, BINARY_SET),
+    "ternary-commutative": (3, TERNARY_SET),
+    "ternary-commutative-no-xor": (3, TERNARY_SET_NO_XOR),
+}
 
 
 # Image columns per domain and arity: the census asks two searches of each.
@@ -151,13 +130,9 @@ def _closed_candidates(d: Domain, k: int, nsets: int):
 
 
 @functools.cache
-def _set_functions(names: tuple[str, ...], k: int) -> tuple[BoolFn, ...]:
+def _space_functions(space: str) -> tuple[BoolFn, ...]:
+    k, names = SPACES[space]
     return tuple(named_fn(name, k) for name in names)
-
-
-def _candidate_aggregator(digits: tuple[int, ...], names: tuple[str, ...], k: int) -> Aggregator:
-    functions = _set_functions(names, k)
-    return Aggregator(tuple(functions[g] for g in digits))
 
 
 def _verify_find(F: Aggregator, d: Domain, extra=None) -> Aggregator:
@@ -168,30 +143,40 @@ def _verify_find(F: Aggregator, d: Domain, extra=None) -> Aggregator:
     return F
 
 
-def brute_binary(d: Domain, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Aggregator | None:
-    """First non-dictatorial binary tuple over {and, or, pr1, pr2} that
-    aggregates d, in lexicographic candidate order; None when none exists."""
-    if 4 ** d.n > candidate_cap:
-        raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    all_pr1 = (2,) * d.n
-    all_pr2 = (3,) * d.n
-    for digits in _closed_candidates(d, 2, 4):
-        if digits != all_pr1 and digits != all_pr2:
-            return _verify_find(_candidate_aggregator(digits, BINARY_SET, 2), d)
+def _aggregator(digits: tuple[int, ...], space: str) -> Aggregator:
+    functions = _space_functions(space)
+    return Aggregator(tuple(functions[g] for g in digits))
+
+
+def _search(d: Domain, space: str, accept=None, extra=None) -> Aggregator | None:
+    """The first closed candidate of the named space, in product order, whose
+    digits `accept` takes (any, when accept is None), re-verified through
+    the closure kernel and the aggregator-level test `extra`; None when
+    there is none.  Too many candidates or member tuples raise
+    CapExceededError before the walk starts."""
+    if space not in SPACES:
+        raise ValueError(f"unknown search space {space!r}; choose from {sorted(SPACES)}")
+    k, names = SPACES[space]
+    if len(names) ** d.n > DEFAULT_CANDIDATE_CAP:
+        raise CapExceededError(f"{len(names)}^{d.n} candidates exceed cap {DEFAULT_CANDIDATE_CAP}")
+    for digits in _closed_candidates(d, k, len(names)):
+        if accept is None or accept(digits):
+            return _verify_find(_aggregator(digits, space), d, extra)
     return None
 
 
-def brute_ternary_commutative(
-    d: Domain, allow_xor: bool = True, candidate_cap: int = DEFAULT_CANDIDATE_CAP
-) -> Aggregator | None:
+def brute_binary(d: Domain) -> Aggregator | None:
+    """First non-dictatorial binary tuple over {and, or, pr1, pr2} that
+    aggregates d, in lexicographic candidate order; None when none exists.
+    Over this set the dictatorial tuples are exactly all-pr1 and all-pr2."""
+    dictators = ((2,) * d.n, (3,) * d.n)
+    return _search(d, "binary-unanimous", lambda digits: digits not in dictators)
+
+
+def brute_ternary_commutative(d: Domain, allow_xor: bool = True) -> Aggregator | None:
     """First tuple over {and3, or3, maj} (plus xor3 when allowed) that
     aggregates d; all its components are non-projections by construction."""
-    names = TERNARY_SET if allow_xor else TERNARY_SET_NO_XOR
-    if len(names) ** d.n > candidate_cap:
-        raise CapExceededError(f"{len(names)}^{d.n} candidates exceed cap {candidate_cap}")
-    for digits in _closed_candidates(d, 3, len(names)):
-        return _verify_find(_candidate_aggregator(digits, TERNARY_SET, 3), d)
-    return None
+    return _search(d, "ternary-commutative" if allow_xor else "ternary-commutative-no-xor")
 
 
 PROPERTY_TAGS = {
@@ -204,52 +189,37 @@ PROPERTY_TAGS = {
 }
 
 
-def brute_property(d: Domain, property_tag: str, spec: SearchSpaceSpec) -> Aggregator | None:
-    """Generic engine: first candidate tuple that is an aggregator for d and
-    satisfies the tagged property; exhaustive and deterministic.  This is a
-    sanity tool: arity 3 already settles every census question, so the
-    all-table spaces carry an extra n * 2^(2^k) <= 10^6 guard."""
+def brute_property(d: Domain, property_tag: str, space: str) -> Aggregator | None:
+    """First candidate of the named space (a key of SPACES) that aggregates d
+    and has the tagged property (a key of PROPERTY_TAGS); exhaustive and
+    deterministic."""
     if property_tag not in PROPERTY_TAGS:
         raise ValueError(f"unknown property {property_tag!r}; choose from {sorted(PROPERTY_TAGS)}")
-    if len(spec.candidates) ** d.n > spec.candidate_cap:
-        raise CapExceededError(
-            f"{len(spec.candidates)}^{d.n} candidates exceed cap {spec.candidate_cap}"
-        )
-    if d.n * (1 << (1 << spec.arity)) > 1_000_000:
-        raise CapExceededError(
-            f"n * 2^(2^{spec.arity}) = {d.n * (1 << (1 << spec.arity))} exceeds 10^6"
-        )
     predicate = PROPERTY_TAGS[property_tag]
-    for chosen in product(spec.candidates, repeat=d.n):
-        F = Aggregator(chosen)
-        if predicate(F, d) and is_aggregator(F, d, spec.tuple_cap):
-            return _verify_find(F, d, extra=lambda G: predicate(G, d))
-    return None
+    holds = lambda F: predicate(F, d)
+    return _search(d, space, lambda digits: holds(_aggregator(digits, space)), holds)
 
 
-def _oracle_not_gendict(d: Domain, candidate_cap: int) -> Aggregator | None:
+def _oracle_not_gendict(d: Domain) -> Aggregator | None:
     """Binary tuples first; minority as the fallback for affine domains."""
     if len(d.members) < 3:
         return None
-    if 4 ** d.n > candidate_cap:
-        raise CapExceededError(f"4^{d.n} candidates exceed cap {candidate_cap}")
-    candidates = _closed_candidates(d, 2, 4)
-    columns = _columns(d.members_as_ints, d.n, 2)
-    for digits in candidates:
+
+    def escapes(digits):
         # the tuples whose image differs from the first, and from the second, member
         off_x = off_y = 0
-        for column, g in zip(columns, digits):
+        for column, g in zip(_columns(d.members_as_ints, d.n, 2), digits):
             image = column[2 + g]
             off_x |= image ^ column[0]
             off_y |= image ^ column[1]
-        if off_x & off_y:
-            F = _candidate_aggregator(digits, BINARY_SET, 2)
-            return _verify_find(F, d, extra=lambda G: not is_generalized_dictatorship(G, d))
-    if is_affine(d):
+        return off_x & off_y
+
+    found = _search(d, "binary-unanimous", escapes, lambda G: not is_generalized_dictatorship(G, d))
+    if found is None and is_affine(d):
         F = systematic(named_fn("xor3"), d.n)
         if is_aggregator(F, d) and not is_generalized_dictatorship(F, d):
-            return F
-    return None
+            found = F
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +260,12 @@ class CensusReport:
         return json.dumps([r.to_json() for r in self.records], indent=None)
 
 
-def oracle_verdicts(d: Domain, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> dict:
-    binary = brute_binary(d, candidate_cap)
+def oracle_verdicts(d: Domain) -> dict:
+    binary = brute_binary(d)
     affine = is_affine(d)
-    lpd = brute_ternary_commutative(d, allow_xor=True, candidate_cap=candidate_cap)
-    strongdem = brute_ternary_commutative(d, allow_xor=False, candidate_cap=candidate_cap)
-    ngd = _oracle_not_gendict(d, candidate_cap)
+    lpd = brute_ternary_commutative(d, allow_xor=True)
+    strongdem = brute_ternary_commutative(d, allow_xor=False)
+    ngd = _oracle_not_gendict(d)
     return {
         "possibility": binary is not None or affine,
         "local_possibility": lpd is not None,

@@ -163,11 +163,10 @@ def _separable_from(components: list[set[int]]) -> SeparabilityWitness | None:
 
 
 def _separable_or_none(f: Formula) -> SeparabilityWitness | None:
-    """check_separable, with fewer than two occurring variables read as a reject."""
-    try:
-        return check_separable(f)
-    except ValueError:
-        return None
+    """check_separable, with fewer than two occurring variables read as a
+    reject: they make fewer than two components.  Nothing is caught, so an
+    error inside the analysis propagates instead of reading as a reject."""
+    return _separable_from(_components(f, f.occurring_variables()))
 
 
 # ---------------------------------------------------------------------------

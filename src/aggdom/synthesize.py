@@ -414,8 +414,10 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
     renamed = frozenset(rph.renamed & v0) if rph is not None else frozenset()
 
     if occurring <= admissible:
+        if models(prime, cap=cap) != d:
+            raise VerificationError("lpic synthesis changed the model set")
         witness = LpicWitness(renamed, frozenset(occurring), frozenset(), frozenset())
-        return _verified(prime, d, witness, cap), "accepted"
+        return _verified(prime, witness), "accepted"
 
     outside = [c for c in prime.clauses if not set(c.variables()) <= v0]
     tails = {
@@ -459,7 +461,7 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
         # the tails stays equivalent; when it is not, no lpic exists on this
         # route and the exhaustive census backs the reject up.
         return None, "xor rewrite not model-preserving"
-    return _verified(candidate, d, witness, cap), "accepted"
+    return _verified(candidate, witness), "accepted"
 
 
 def _tail_models_affine(comp, comp_clauses, tails, cap) -> bool:
@@ -481,9 +483,9 @@ def _tail_models_affine(comp, comp_clauses, tails, cap) -> bool:
     return not tail_models.members or is_affine(tail_models)
 
 
-def _verified(formula: Formula, d: Domain, witness: LpicWitness, cap: int) -> SynthesisResult:
-    if models(formula, cap=cap) != d:
-        raise VerificationError("lpic synthesis changed the model set")
+def _verified(formula: Formula, witness: LpicWitness) -> SynthesisResult:
+    """The lpic result for a formula whose model set the caller has already
+    compared with the domain: re-verify the witness and the recognizer."""
     if not verify_lpic(formula, set(witness.renamed), set(witness.v0), set(witness.v1), set(witness.v2)):
         raise VerificationError("lpic witness failed re-verification")
     if check_lpic(formula) is None:

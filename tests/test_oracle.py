@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import pytest
@@ -22,7 +23,8 @@ from aggdom.oracle import (
     BINARY_SET,
     TERNARY_SET,
     TERNARY_SET_NO_XOR,
-    SearchSpaceSpec,
+    PROPERTY_TAGS,
+    SPACES,
     _closed_candidates,
     _oracle_not_gendict,
     census_domains,
@@ -51,9 +53,13 @@ def test_brute_binary_full_cube():
     assert found.describe() == ("and", "and")
 
 
-def test_brute_binary_cap(mod):
-    with pytest.raises(CapExceededError):
-        brute_binary(mod[7], candidate_cap=10)
+def test_brute_binary_cap(monkeypatch):
+    # 4^11 binary candidates exceed DEFAULT_CANDIDATE_CAP = 2^20
+    columns = count_calls(monkeypatch, oracle, "_columns")
+    d = Domain(11, [(0,) * 11, (1,) * 11])
+    with pytest.raises(CapExceededError, match="4\\^11 candidates"):
+        brute_binary(d)
+    assert columns == []
 
 
 def test_brute_ternary_mod13(mod):
@@ -82,8 +88,7 @@ def test_brute_ternary_mod14_xor_dependence(mod):
 def test_brute_property_not_gendict_mod12(mod):
     from aggdom import Aggregator
 
-    spec = SearchSpaceSpec.named("binary-unanimous")
-    found = brute_property(mod[12], "not-generalized-dictatorship", spec)
+    found = brute_property(mod[12], "not-generalized-dictatorship", "binary-unanimous")
     assert found is not None
     assert is_aggregator(found, mod[12])
     assert not is_generalized_dictatorship(found, mod[12])
@@ -97,35 +102,26 @@ def test_brute_property_not_gendict_mod12(mod):
 
 def test_brute_property_two_element_none():
     d = Domain(2, [(0, 0), (1, 1)])
-    spec = SearchSpaceSpec.named("binary-unanimous")
-    assert brute_property(d, "not-generalized-dictatorship", spec) is None
+    assert brute_property(d, "not-generalized-dictatorship", "binary-unanimous") is None
 
 
 def test_brute_property_monotone_mod14_none(mod):
-    spec = SearchSpaceSpec.named("ternary-commutative")
-    assert brute_property(mod[14], "monotone-nondictatorial", spec) is None
+    assert brute_property(mod[14], "monotone-nondictatorial", "ternary-commutative") is None
 
 
 def test_brute_property_anonymous(mod):
-    spec = SearchSpaceSpec.named("ternary-commutative")
-    found = brute_property(mod[14], "anonymous", spec)
+    found = brute_property(mod[14], "anonymous", "ternary-commutative")
     assert found is not None and is_aggregator(found, mod[14])
 
 
 def test_brute_property_unknown_tag(mod):
-    spec = SearchSpaceSpec.named("binary-unanimous")
-    with pytest.raises(ValueError):
-        brute_property(mod[7], "best-effort", spec)
+    with pytest.raises(ValueError, match="unknown property"):
+        brute_property(mod[7], "best-effort", "binary-unanimous")
 
 
-def test_all_unanimous_space():
-    spec = SearchSpaceSpec.named("all-unanimous", k=2)
-    assert {f.table for f in spec.candidates} == {
-        (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)
-    }
-    d = Domain(1, [(0,), (1,)])
-    found = brute_property(d, "nondictatorial", spec)
-    assert found is not None
+def test_brute_property_unknown_space(mod):
+    with pytest.raises(ValueError, match="unknown search space 'all-unanimous'"):
+        brute_property(mod[7], "nondictatorial", "all-unanimous")
 
 
 def test_oracle_verdicts_match_examples(mod):
@@ -214,28 +210,33 @@ def test_census_json_schema():
     assert {"domain_bits", "members", "theory_verdicts", "oracle_verdicts", "match"} <= rows[0].keys()
 
 
-class Componentwise:
-    """One function per coordinate behind the single-function interface of
-    util.brute_closed, which evaluates coordinates 1..n in turn for every
-    tuple: call number i goes to component i mod n."""
-
-    def __init__(self, components):
-        self.components = components
-        self.arity = components[0].arity
-        self.calls = 0
-
-    def __call__(self, *bits):
-        f = self.components[self.calls % len(self.components)]
-        self.calls += 1
-        return f(*bits)
+@functools.lru_cache(maxsize=2)
+def _table_indices(d, k):
+    """Per ordered k-tuple of members, each coordinate's index into a k-ary
+    truth table (the first argument's bit most significant)."""
+    return [
+        tuple(sum(row[j] << (k - 1 - p) for p, row in enumerate(rows)) for j in range(d.n))
+        for rows in product(d.members, repeat=k)
+    ]
 
 
-def reference_first(d, names, k, accept=lambda components: True):
-    """First candidate over `names` in product order that brute_closed accepts
-    and that satisfies accept; no oracle or kernel code involved."""
+def plain_closed(d, components):
+    """Every k-tuple of members maps into d: a plain loop over the tuples,
+    reading each coordinate's image off its component's truth table."""
+    member_set = set(d.members)
+    return all(
+        tuple(f.table[i] for f, i in zip(components, indices)) in member_set
+        for indices in _table_indices(d, components[0].arity)
+    )
+
+
+def reference_first(d, names, k, accept=lambda components: True, closed=plain_closed):
+    """First candidate over `names` in product order that `closed` (the plain
+    loop, or a memo of it) accepts and that satisfies accept; the closure
+    test shares no code with the oracle or the kernel."""
     for chosen in product(names, repeat=d.n):
         components = tuple(named_fn(name, k) for name in chosen)
-        if brute_closed(d.members, Componentwise(components)) and accept(components):
+        if closed(d, components) and accept(components):
             return Aggregator(components)
     return None
 
@@ -264,7 +265,7 @@ def reference_not_gendict(d):
 def test_oracle_witnesses_are_lexicographically_first():
     """Every eligible n=3 domain and a seeded sample of n=4 domains: each
     search returns the first witness of a plain product-order search, so the
-    per-domain basis lists lose and reorder nothing."""
+    pruned walk loses and reorders nothing."""
     dictators = ({named_fn("pr1", 2)}, {named_fn("pr2", 2)})
     not_dictatorial = lambda components: set(components) not in dictators
     domains = [d for _mask, d in census_domains(3)]
@@ -275,7 +276,7 @@ def test_oracle_witnesses_are_lexicographically_first():
         assert brute_ternary_commutative(d, allow_xor=False) == reference_first(
             d, TERNARY_SET_NO_XOR, 3
         ), d
-        assert _oracle_not_gendict(d, 1 << 20) == reference_not_gendict(d), d
+        assert _oracle_not_gendict(d) == reference_not_gendict(d), d
 
 
 def _every_domain(n):
@@ -304,7 +305,7 @@ def test_searches_equal_the_basis_engine_on_sampled_domains():
             brute_binary(d),
             brute_ternary_commutative(d),
             brute_ternary_commutative(d, allow_xor=False),
-            _oracle_not_gendict(d, 1 << 20),
+            _oracle_not_gendict(d),
         )
         assert found == basis_searches(d), d
 
@@ -317,3 +318,22 @@ def test_search_over_the_tuple_cap_stops_before_building_columns(monkeypatch):
         with pytest.raises(CapExceededError, match="216\\^3"):
             brute_ternary_commutative(d, allow_xor=allow_xor)
     assert columns == []
+
+
+def test_brute_property_equals_the_plain_product_loop():
+    """Every tag over every named space, on every eligible n <= 3 domain (the
+    n=1 one is Domain(1, {0, 1})) and a seeded sample of n=4 domains: the
+    pruned walk returns the first candidate of a plain product loop that is
+    closed and has the property."""
+    domains = [d for n in (1, 2, 3) for _mask, d in census_domains(n)]
+    domains += [d for _mask, d in census_domains(4, mode="sample", sample=200, seed=15)]
+    assert domains[0] == Domain(1, [(0,), (1,)])
+    assert brute_property(domains[0], "nondictatorial", "binary-unanimous").describe() == ("and",)
+    for d in domains:
+        closed = functools.cache(plain_closed)  # shared by the 18 searches on d
+        for space, (k, names) in SPACES.items():
+            for tag, predicate in PROPERTY_TAGS.items():
+                expected = reference_first(
+                    d, names, k, lambda components: predicate(Aggregator(components), d), closed
+                )
+                assert brute_property(d, tag, space) == expected, (d, tag, space)

@@ -169,6 +169,19 @@ def test_pic(phi):
     assert result.affine and result.kinds() == ("affine",)
 
 
+def test_separability_errors_are_not_rejects(monkeypatch, phi):
+    # a ValueError inside the separability analysis is a bug signal: check_pic
+    # must raise it, not report the formula as not separable
+    from aggdom import recognize
+
+    def broken(f, occurring):
+        raise ValueError("broken component split")
+
+    monkeypatch.setattr(recognize, "_components", broken)
+    with pytest.raises(ValueError, match="broken component split"):
+        check_pic(phi[3])
+
+
 def test_pic_reports_every_branch(phi):
     result = check_pic(phi[3])
     assert result.separable is not None

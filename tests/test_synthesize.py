@@ -27,7 +27,7 @@ from aggdom import synthesize
 from aggdom.formula import _variable_masks, position_to_assignment
 from aggdom.synthesize import _check_prime_cnf, _shrunk_clauses, lpic_analysis
 
-from util import is_prime_implicate, reference_prime_cnf
+from util import count_calls, is_prime_implicate, reference_prime_cnf
 
 
 def _clause_tuples(formula):
@@ -194,6 +194,16 @@ def test_lpic_for_mod10(mod):
     assert result is not None
     assert models(result.formula) == mod[10]
     assert check_lpic(result.formula) is not None
+
+
+def test_lpic_model_set_computed_once(monkeypatch, mod):
+    # mod10 takes the occurring-within-admissible path, mod14 the xor rewrite:
+    # on each, exactly one models call sees the final lpic formula
+    for d, rewritten in ((mod[10], False), (mod[14], True)):
+        calls = count_calls(monkeypatch, synthesize, "models")
+        result = lpic_for(d)
+        assert bool(result.witness.v1 or result.witness.v2) == rewritten
+        assert sum(1 for args in calls if args[0] == result.formula) == 1
 
 
 def test_lpic_for_mod9_rejects(mod):
