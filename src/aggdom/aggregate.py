@@ -375,8 +375,8 @@ def classify_domain(
 
 def _classify(d: Domain, cap: int, tuple_cap: int) -> DomainClassification:
     a = _analyse(d, cap)
-    pic_result = _pic_from(d, a, cap)
-    lpic_result, lpic_reason = _lpic_from(d, a, cap)
+    pic_result = _pic_from(d, a)
+    lpic_result, lpic_reason = _lpic_from(d, a)
     n = d.n
     # every witness is checked where it is built, in the order the verdicts read them
     check = _witness_check(d, tuple_cap)
@@ -458,7 +458,8 @@ def _classify_non_generalized_dictatorship(d: Domain, a, binary, minority, possi
     # or-coordinates, where the witness becomes all-and and the members form a
     # chain under bitwise dominance; joining everything below the top member
     # with or, and the top-only coordinates with and, yields the second-best
-    # member on mixed inputs, which is never one of them.
+    # member on mixed inputs, which is never one of them.  Back on d, and and
+    # or swap on the renamed coordinates.
     renamed = a.rph.renamed
     star_domain = rename_domain(d, renamed)
     members = sorted(star_domain.members, key=lambda row: (sum(row), row))
@@ -467,14 +468,8 @@ def _classify_non_generalized_dictatorship(d: Domain, a, binary, minority, possi
             raise VerificationError("dominance order is not total on the complemented domain")
     top, second = members[-1], members[-2]
     only_top = {j + 1 for j in range(n) if top[j] == 1 and second[j] == 0}
-    swapped = _components_by_sets(n, {"and": only_top}, "or", 2)
-    components = tuple(
-        named_fn("or" if fn_name(f) == "and" else "and")
-        if (j + 1) in renamed
-        else f
-        for j, f in enumerate(swapped.components)
-    )
-    return _verdict(check(Aggregator(components), "total-order"), not_gendict, label, "total-order-construction")
+    F = _components_by_sets(n, {"and": only_top ^ renamed}, "or", 2)
+    return _verdict(check(F, "total-order"), not_gendict, label, "total-order-construction")
 
 
 def _lift_classification(inner: DomainClassification, d: Domain, fixed, lift, tuple_cap) -> DomainClassification:

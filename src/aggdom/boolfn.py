@@ -182,10 +182,3 @@ def is_essentially_unary(f: BoolFn) -> bool:
             return True
     return False
 
-
-def all_unanimous_tables(k: int):
-    """Every unanimous k-ary function, ordered by table value."""
-    free = (1 << k) - 2
-    for middle in range(1 << free):
-        bits = [0] + [(middle >> (free - 1 - i)) & 1 for i in range(free)] + [1]
-        yield BoolFn(k, tuple(bits))

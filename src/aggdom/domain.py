@@ -24,6 +24,12 @@ class DegeneracyReport:
     fixed_coordinates: tuple[tuple[int, int], ...]  # (1-based index, forced bit)
 
 
+def _row(value: int, n: int) -> tuple[int, ...]:
+    """Assignment #value over n variables: value in binary, x1 as the most
+    significant bit.  The one decoder of the packed layout."""
+    return tuple((value >> (n - v)) & 1 for v in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class Domain:
     n: int
@@ -44,10 +50,32 @@ class Domain:
     def member_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.members)
 
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "Domain":
+        """The domain with the given model-set mask (see `mask`), decoded in
+        time linear in 2^n."""
+        bits = format(mask, "b")[::-1]  # bits[p] is bit p
+        found = []
+        p = bits.find("1")
+        while p >= 0:
+            found.append(_row(p, n))
+            p = bits.find("1", p + 1)
+        return cls(n, found)
+
     @cached_property
     def members_as_ints(self) -> tuple[int, ...]:
         """Each member packed into an int, x1 as the most significant bit."""
         return tuple(self.pack(m) for m in self.members)
+
+    @cached_property
+    def mask(self) -> int:
+        """The model-set mask: bit p is set iff assignment #p is a member,
+        where assignment #p reads p in binary with x1 as the most significant
+        bit (so #p packs to p).  Built in time linear in 2^n + |d|."""
+        packed = bytearray(((1 << self.n) + 7) >> 3)
+        for m in self.members_as_ints:
+            packed[m >> 3] |= 1 << (m & 7)
+        return int.from_bytes(packed, "little")
 
     def pack(self, row: tuple[int, ...]) -> int:
         value = 0
@@ -56,7 +84,7 @@ class Domain:
         return value
 
     def unpack(self, value: int) -> tuple[int, ...]:
-        return tuple((value >> (self.n - v)) & 1 for v in range(1, self.n + 1))
+        return _row(value, self.n)
 
     def __len__(self):
         return len(self.members)

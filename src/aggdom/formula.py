@@ -281,16 +281,15 @@ def _repeat(block: int, period: int, size: int) -> int:
 
 
 def _variable_masks(n: int) -> list[int]:
-    """masks[v-1] has bit p set iff assignment #p gives variable v the value 1.
-
-    Assignment #p reads p in binary with x1 as the most significant bit.
-    """
+    """masks[v-1] has bit p set iff assignment #p gives variable v the value 1,
+    in the layout of `Domain.mask`."""
     halves = (1 << (n - v) for v in range(1, n + 1))
     return [_repeat(((1 << half) - 1) << half, half << 1, 1 << n) for half in halves]
 
 
 def satisfying_mask(f: Formula, masks: list[int] | None = None) -> int:
-    """Bitmask over all 2^n assignments with the satisfying positions set."""
+    """Bitmask over all 2^n assignments with the satisfying positions set,
+    in the layout of `Domain.mask`."""
     if masks is None:
         masks = _variable_masks(f.n)
     full = (1 << (1 << f.n)) - 1
@@ -316,23 +315,13 @@ def satisfying_mask(f: Formula, masks: list[int] | None = None) -> int:
     return result
 
 
-def position_to_assignment(p: int, n: int) -> tuple[int, ...]:
-    return tuple((p >> (n - v)) & 1 for v in range(1, n + 1))
-
-
 def models(f: Formula, cap: int = DEFAULT_MODELS_CAP):
     """Enumerate the full model set of f as a Domain.  Refuses when n > cap."""
     from .domain import Domain
 
     if f.n > cap:
         raise CapExceededError(f"model enumeration needs n <= {cap}, got n={f.n}")
-    bits = format(satisfying_mask(f), "b")[::-1]  # bit p is assignment #p
-    found = []
-    p = bits.find("1")
-    while p >= 0:
-        found.append(position_to_assignment(p, f.n))
-        p = bits.find("1", p + 1)
-    return Domain(f.n, found)
+    return Domain.from_mask(f.n, satisfying_mask(f))
 
 
 def rename(f: Formula, variables: Iterable[int]) -> Formula:

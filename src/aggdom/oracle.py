@@ -248,7 +248,7 @@ class CensusRecord:
 @dataclass(frozen=True)
 class CensusReport:
     n: int
-    mode: str
+    sample: int | None  # None: exhaustive
     seed: int
     records: tuple[CensusRecord, ...]
 
@@ -276,58 +276,48 @@ def oracle_verdicts(d: Domain) -> dict:
     }
 
 
-def _domain_from_mask(mask: int, n: int) -> Domain:
-    size = 1 << n
-    members = [
-        tuple((p >> (n - v)) & 1 for v in range(1, n + 1))
-        for p in range(size)
-        if mask >> p & 1
-    ]
-    return Domain(n, members)
-
-
 def _eligible(d: Domain) -> bool:
     return len(d.members) >= 2 and degeneracy(d).non_degenerate
 
 
-def census_domains(n: int, mode: str = "exhaustive", sample: int = 2000, seed: int = 0):
-    """Non-degenerate domains with at least two members: all of them for
-    n <= 4, or a seeded sample of distinct subsets.  A sample larger than
-    the number of eligible domains raises ValueError."""
+def census_domains(n: int, sample: int | None = None, seed: int = 0):
+    """Non-degenerate domains with at least two members, each with its mask:
+    all of them (sample None, n <= 4), or a seeded sample of that many
+    distinct subsets.  A sample larger than the number of eligible domains
+    raises ValueError."""
     size = 1 << n
-    if mode == "exhaustive":
+    if sample is None:
         if n > 4:
             raise CapExceededError("exhaustive census is limited to n <= 4")
         for mask in range(1, 1 << size):
-            d = _domain_from_mask(mask, n)
+            d = Domain.from_mask(n, mask)
             if _eligible(d):
                 yield mask, d
-    elif mode == "sample":
-        if sample < 0:
-            raise ValueError(f"census sample must be >= 0, got {sample}")
-        rng = random.Random(seed)
-        seen = set()
-        produced = 0
-        while produced < sample:
-            if len(seen) == 1 << size:
-                raise ValueError(f"n={n} has only {produced} eligible domains, fewer than the sample of {sample}")
-            mask = rng.getrandbits(size)
-            if mask in seen:
-                continue
-            seen.add(mask)
-            if not mask:
-                continue
-            d = _domain_from_mask(mask, n)
-            if _eligible(d):
-                produced += 1
-                yield mask, d
-    else:
-        raise ValueError(f"unknown census mode {mode!r}")
+        return
+    if sample < 0:
+        raise ValueError(f"census sample must be >= 0, got {sample}")
+    rng = random.Random(seed)
+    seen = set()
+    produced = 0
+    while produced < sample:
+        if len(seen) == 1 << size:
+            raise ValueError(f"n={n} has only {produced} eligible domains, fewer than the sample of {sample}")
+        mask = rng.getrandbits(size)
+        if mask in seen:
+            continue
+        seen.add(mask)
+        if not mask:
+            continue
+        d = Domain.from_mask(n, mask)
+        if _eligible(d):
+            produced += 1
+            yield mask, d
 
 
-def census(n: int, mode: str = "exhaustive", sample: int = 2000, seed: int = 0) -> CensusReport:
+def census(n: int, sample: int | None = None, seed: int = 0) -> CensusReport:
+    """Theory and oracle verdicts on every domain of `census_domains`."""
     records = []
-    for mask, d in census_domains(n, mode=mode, sample=sample, seed=seed):
+    for mask, d in census_domains(n, sample=sample, seed=seed):
         theory = classify_domain(d).verdicts()
         oracle = oracle_verdicts(d)
         records.append(
@@ -339,4 +329,4 @@ def census(n: int, mode: str = "exhaustive", sample: int = 2000, seed: int = 0) 
                 match=theory == oracle,
             )
         )
-    return CensusReport(n, mode, seed, tuple(records))
+    return CensusReport(n, sample, seed, tuple(records))

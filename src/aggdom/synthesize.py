@@ -20,6 +20,11 @@ possibility and the local possibility constraint are read.  Degenerate
 domains take one path (`_free_part`): the policy is applied, the fixed
 coordinates are split off, and results on the free coordinates are lifted
 back with unit clauses.
+
+Every formula handed out has its model set checked exactly once, where it is
+built, as `satisfying_mask(f) == d.mask`: the prime CNF in its certificate,
+the xor rewrite, the guarded-xor lpic candidate and the lifted result.  The
+models cap is checked once per public entry, on the input's arity.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .formula import (
     Formula,
     _repeat,
     _variable_masks,
-    models,
     satisfying_mask,
 )
 from .recognize import (
@@ -219,7 +223,7 @@ def _check_prime_cnf(formula: Formula, d: Domain, masks: list[int] | None = None
         # prime: every literal is, for some member, the only satisfied one
         if reduce(or_, (s for s in sat if not s & (s - 1)), 0) != variables:
             raise VerificationError(f"clause {signed} is not prime")
-    if satisfying_mask(formula, masks) & ~sum(1 << m for m in ints):
+    if satisfying_mask(formula, masks) != d.mask:
         raise VerificationError("synthesized formula admits a non-member")
 
 
@@ -244,10 +248,10 @@ def affine_formula(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> Formula | None:
     _require_members(d)
     if not is_affine(d):
         return None
-    return _xor_rewrite(d, prime_cnf(d, cap=cap).formula, cap)
+    return _xor_rewrite(d, prime_cnf(d, cap=cap).formula)
 
 
-def _xor_rewrite(d: Domain, prime: Formula, cap: int) -> Formula:
+def _xor_rewrite(d: Domain, prime: Formula) -> Formula:
     clauses = []
     seen = set()
     for clause in prime.clauses:
@@ -257,7 +261,7 @@ def _xor_rewrite(d: Domain, prime: Formula, cap: int) -> Formula:
             seen.add(key)
             clauses.append(xor_clause)
     formula = Formula(d.n, tuple(clauses))
-    if models(formula, cap=cap) != d:
+    if satisfying_mask(formula) != d.mask:
         raise VerificationError("affine rewrite changed the model set")
     return formula
 
@@ -288,7 +292,9 @@ def _free_part(d: Domain, policy: str, cap: int):
     projection onto the free coordinates, or None when every coordinate is
     fixed; and the map taking a SynthesisResult on the core back to d.  A
     degenerate d raises DegenerateDomainError under the strict policy; the
-    permissive policy proceeds, and any other policy is a ValueError.
+    permissive policy proceeds, and any other policy is a ValueError.  The
+    lift checks a model set of the full arity, so a degenerate d with
+    n > cap raises CapExceededError whatever the core holds.
     """
     if policy not in ("strict", "permissive"):
         raise ValueError(f"unknown policy {policy!r}; use 'strict' or 'permissive'")
@@ -298,12 +304,14 @@ def _free_part(d: Domain, policy: str, cap: int):
     if policy == "strict":
         where = ", ".join(f"x{j}={b}" for j, b in sorted(fixed.items()))
         raise DegenerateDomainError(f"domain is degenerate ({where}); use the permissive policy to proceed")
+    if d.n > cap:
+        raise CapExceededError(f"model enumeration needs n <= {cap}, got n={d.n}")
     free = [v for v in range(1, d.n + 1) if v not in fixed]
     core = project(d, free) if free else None
-    return fixed, core, lambda result: _lift_result(result, d, fixed, free, cap)
+    return fixed, core, lambda result: _lift_result(result, d, fixed, free)
 
 
-def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free, cap: int) -> SynthesisResult | None:
+def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> SynthesisResult | None:
     """Re-embed a reduced-domain synthesis into the full arity.
 
     Fixed coordinates come back as unit clauses (xor units when the class is
@@ -340,7 +348,7 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free, cap: in
             lift_vars(witness.v2),
         )
     formula = Formula(d.n, units + lifted_clauses)
-    if models(formula, cap=cap) != d:
+    if satisfying_mask(formula) != d.mask:
         raise VerificationError("permissive re-embedding changed the model set")
     return SynthesisResult(
         formula,
@@ -366,12 +374,12 @@ def pic_for(d: Domain, policy: str = "strict", cap: int = DEFAULT_MODELS_CAP) ->
     _fixed, core, lift = _free_part(d, policy, cap)
     if core is None:  # nothing free: the unit clauses alone, renaming nothing
         return lift(SynthesisResult(Formula(d.n), "renamable-partially-horn", RPHWitness(frozenset(), frozenset())))
-    return lift(_pic_from(core, _analyse(core, cap), cap))
+    return lift(_pic_from(core, _analyse(core, cap)))
 
 
-def _pic_from(d: Domain, a: _DomainAnalysis, cap: int) -> SynthesisResult | None:
+def _pic_from(d: Domain, a: _DomainAnalysis) -> SynthesisResult | None:
     if a.affine:
-        return SynthesisResult(_xor_rewrite(d, a.prime, cap), "affine", None)
+        return SynthesisResult(_xor_rewrite(d, a.prime), "affine", None)
     if a.separable is not None:
         return SynthesisResult(a.prime, "separable", a.separable)
     if a.rph is not None:
@@ -402,20 +410,18 @@ def lpic_analysis(
     if core is None:  # nothing free: the unit clauses alone, all of them in V0
         empty = frozenset()
         return lift(SynthesisResult(Formula(d.n), "lpic", LpicWitness(empty, empty, empty, empty))), "accepted"
-    result, reason = _lpic_from(core, _analyse(core, cap), cap)
+    result, reason = _lpic_from(core, _analyse(core, cap))
     return lift(result), reason
 
 
-def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult | None, str]:
+def _lpic_from(d: Domain, a: _DomainAnalysis) -> tuple[SynthesisResult | None, str]:
     prime, rph = a.prime, a.rph
     occurring = prime.occurring_variables()
     admissible = rph.admissible if rph is not None else frozenset()
     v0 = frozenset(admissible & occurring)
     renamed = frozenset(rph.renamed & v0) if rph is not None else frozenset()
 
-    if occurring <= admissible:
-        if models(prime, cap=cap) != d:
-            raise VerificationError("lpic synthesis changed the model set")
+    if occurring <= admissible:  # the prime CNF itself, certified by prime_cnf
         witness = LpicWitness(renamed, frozenset(occurring), frozenset(), frozenset())
         return _verified(prime, witness), "accepted"
 
@@ -436,7 +442,7 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
         if all(len(tails[id(c)]) <= 2 for c in comp_clauses):
             v1 |= comp
             continue
-        if _tail_models_affine(comp, comp_clauses, tails, cap):
+        if _tail_models_affine(comp, comp_clauses, tails):
             v2 |= comp
             rewrite.update(id(c) for c in comp_clauses)
         else:
@@ -456,7 +462,7 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
     candidate = Formula(d.n, tuple(transformed))
     witness = LpicWitness(renamed, v0, frozenset(v1), frozenset(v2))
 
-    if models(candidate, cap=cap) != d:
+    if satisfying_mask(candidate) != d.mask:
         # The xor rewrite is only sound when every guard-activated subset of
         # the tails stays equivalent; when it is not, no lpic exists on this
         # route and the exhaustive census backs the reject up.
@@ -464,10 +470,8 @@ def _lpic_from(d: Domain, a: _DomainAnalysis, cap: int) -> tuple[SynthesisResult
     return _verified(candidate, witness), "accepted"
 
 
-def _tail_models_affine(comp, comp_clauses, tails, cap) -> bool:
+def _tail_models_affine(comp, comp_clauses, tails) -> bool:
     order = sorted(comp)
-    if len(order) > cap:
-        raise CapExceededError(f"affine tail check needs component size <= {cap}")
     position = {v: i + 1 for i, v in enumerate(order)}
     sub_clauses = tuple(
         Clause.disjunction(*(
@@ -476,16 +480,15 @@ def _tail_models_affine(comp, comp_clauses, tails, cap) -> bool:
         ))
         for c in comp_clauses
     )
-    sub = Formula(len(order), sub_clauses)
-    tail_models = models(sub, cap=cap)
+    tail_models = Domain.from_mask(len(order), satisfying_mask(Formula(len(order), sub_clauses)))
     # an empty model set is the model set of a contradictory pair of xor
     # clauses, so it counts as affine; the rewrite is model-checked anyway
     return not tail_models.members or is_affine(tail_models)
 
 
 def _verified(formula: Formula, witness: LpicWitness) -> SynthesisResult:
-    """The lpic result for a formula whose model set the caller has already
-    compared with the domain: re-verify the witness and the recognizer."""
+    """The lpic result for a formula whose model set has already been checked
+    against the domain: re-verify the witness and the recognizer."""
     if not verify_lpic(formula, set(witness.renamed), set(witness.v0), set(witness.v1), set(witness.v2)):
         raise VerificationError("lpic witness failed re-verification")
     if check_lpic(formula) is None:

@@ -245,5 +245,5 @@ def test_criterion_6_performance():
 
 def test_census_n4_sample_agrees():
     # the sampled n=4 census from the census operation's contract
-    report = census(4, mode="sample", sample=2000, seed=1)
+    report = census(4, sample=2000, seed=1)
     assert report.mismatches == ()

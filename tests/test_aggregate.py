@@ -373,7 +373,7 @@ def test_systematic_family_is_the_closure_family():
     for n in (1, 2, 3):
         for _mask, d in census_domains(n):
             assert classify_domain(d).systematic_family == _closure_family(d), d
-    for _mask, d in census_domains(4, mode="sample", sample=2000, seed=4):
+    for _mask, d in census_domains(4, sample=2000, seed=4):
         assert classify_domain(d).systematic_family == _closure_family(d), d
 
 
@@ -386,12 +386,10 @@ def test_systematic_family_is_the_closure_family_exhaustive_n4():
 
 
 def test_permissive_classification_lifts_the_synthesized_constraints():
-    from aggdom.oracle import _domain_from_mask
-
     checked = 0
     for n in (2, 3):
         for mask in range(1, 1 << (1 << n)):
-            d = _domain_from_mask(mask, n)
+            d = Domain.from_mask(n, mask)
             if len(d.members) < 2 or degeneracy(d).non_degenerate:
                 continue
             result = classify_domain(d, policy="permissive")

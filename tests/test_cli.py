@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import aggdom
 from aggdom import cli
 from aggdom.cli import main
-from aggdom import parse_domain, parse_formula, models
+from aggdom import Formula, parse_domain, parse_formula, models
 
 from util import count_calls
 
@@ -232,6 +232,24 @@ def test_classify_domain_honours_caps(files, tmp_path, capsys):
     assert code == 3 and "cap exceeded" in captured.err
 
 
+# Two n=6 domains with x4..x6 fixed to 1.  The free part of the first has no
+# constraint and that of the second has one, yet both lift to the full arity.
+CAP_DEGENERATE = {"none.dom": "d 6\n001111\n010111\n100111\n", "some.dom": "d 6\n000111\n011111\n111111\n"}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_DEGENERATE))
+@pytest.mark.parametrize("command", [["classify-domain"], ["synthesize"], ["synthesize", "--lpic"]])
+def test_models_cap_bounds_the_input_arity_whatever_the_verdict(name, command, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(CAP_DEGENERATE[name])
+    code = main(["--cap-models", "4", command[0], str(path), *command[1:], "--permissive"])
+    captured = capsys.readouterr()
+    assert code == 3 and "cap exceeded" in captured.err
+    code = main(["--cap-models", "6", command[0], str(path), *command[1:], "--permissive"])
+    capsys.readouterr()
+    assert code == (0 if name == "some.dom" else 1)
+
+
 def test_tuple_cap_bounds_only_witness_checks(tmp_path, capsys):
     # mod9 has a binary witness but no lpic, so no ternary check runs: a cap
     # between |d|^2 and |d|^3 classifies it, and one below |d|^2 does not
@@ -271,6 +289,16 @@ def test_internal_error_exit_four(files, capsys, monkeypatch):
     assert code == 4
     assert captured.err.startswith("internal error: ")
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_render_fault_fails_the_round_trip(files, capsys, monkeypatch):
+    # the rendered text loses the last clause of the checked formula
+    render = cli.render_formula
+    monkeypatch.setattr(cli, "render_formula", lambda f: render(Formula(f.n, f.clauses[:-1])))
+    code = main(["synthesize", files["mod14.dom"]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "internal error: round-trip verification failed\n"
 
 
 # Header numbers stay at 8 or below so that `models` and the prime-CNF sweep

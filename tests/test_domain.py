@@ -22,7 +22,6 @@ from aggdom import (
 )
 from aggdom.boolfn import BoolFn
 from aggdom.domain import closure_counterexample
-from aggdom.formula import position_to_assignment
 
 from util import brute_closed
 
@@ -193,7 +192,7 @@ def test_is_affine_matches_ternary_closure(mod):
             g = rng.randrange(1 << n)
             span |= {s ^ g for s in span}
         offset = rng.randrange(1 << n)
-        coset = Domain(n, tuple(position_to_assignment(s ^ offset, n) for s in span))
+        coset = Domain.from_mask(n, sum(1 << (s ^ offset) for s in span))
         assert is_affine(coset)
         short = Domain(n, coset.members[1:] or coset.members)
         assert is_affine(short) == is_closed_under(short, xor3)

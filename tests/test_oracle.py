@@ -169,15 +169,15 @@ def test_census_n4_exhaustive():
 def test_census_sample_stops_when_every_subset_is_drawn():
     # n=2 has 7 eligible domains among its 16 subsets, n=3 has 193 among 256
     with pytest.raises(ValueError, match="only 7 eligible domains"):
-        list(census_domains(2, mode="sample", sample=50))
-    assert len(census(3, mode="sample", sample=193).records) == 193
+        list(census_domains(2, sample=50))
+    assert len(census(3, sample=193).records) == 193
     with pytest.raises(ValueError, match="only 193 eligible domains"):
-        list(census_domains(3, mode="sample", sample=194))
+        list(census_domains(3, sample=194))
 
 
 def test_census_sample_deterministic():
-    first = census(4, mode="sample", sample=25, seed=9)
-    second = census(4, mode="sample", sample=25, seed=9)
+    first = census(4, sample=25, seed=9)
+    second = census(4, sample=25, seed=9)
     assert [r.domain_bits for r in first.records] == [r.domain_bits for r in second.records]
     assert not first.mismatches
 
@@ -269,7 +269,7 @@ def test_oracle_witnesses_are_lexicographically_first():
     dictators = ({named_fn("pr1", 2)}, {named_fn("pr2", 2)})
     not_dictatorial = lambda components: set(components) not in dictators
     domains = [d for _mask, d in census_domains(3)]
-    domains += [d for _mask, d in census_domains(4, mode="sample", sample=25, seed=31)]
+    domains += [d for _mask, d in census_domains(4, sample=25, seed=31)]
     for d in domains:
         assert brute_binary(d) == reference_first(d, BINARY_SET, 2, not_dictatorial), d
         assert brute_ternary_commutative(d) == reference_first(d, TERNARY_SET, 3), d
@@ -298,8 +298,8 @@ def test_closed_candidates_equal_the_basis_engine_on_every_small_domain():
 
 
 def test_searches_equal_the_basis_engine_on_sampled_domains():
-    domains = [d for _mask, d in census_domains(4, mode="sample", sample=2000, seed=14)]
-    domains += [d for _mask, d in census_domains(5, mode="sample", sample=200, seed=14)]
+    domains = [d for _mask, d in census_domains(4, sample=2000, seed=14)]
+    domains += [d for _mask, d in census_domains(5, sample=200, seed=14)]
     for d in domains:
         found = (
             brute_binary(d),
@@ -326,7 +326,7 @@ def test_brute_property_equals_the_plain_product_loop():
     pruned walk returns the first candidate of a plain product loop that is
     closed and has the property."""
     domains = [d for n in (1, 2, 3) for _mask, d in census_domains(n)]
-    domains += [d for _mask, d in census_domains(4, mode="sample", sample=200, seed=15)]
+    domains += [d for _mask, d in census_domains(4, sample=200, seed=15)]
     assert domains[0] == Domain(1, [(0,), (1,)])
     assert brute_property(domains[0], "nondictatorial", "binary-unanimous").describe() == ("and",)
     for d in domains:

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -24,7 +25,7 @@ from aggdom import (
 )
 from aggdom.oracle import brute_binary, brute_ternary_commutative
 from aggdom import synthesize
-from aggdom.formula import _variable_masks, position_to_assignment
+from aggdom.formula import _variable_masks
 from aggdom.synthesize import _check_prime_cnf, _shrunk_clauses, lpic_analysis
 
 from util import count_calls, is_prime_implicate, reference_prime_cnf
@@ -71,7 +72,7 @@ def test_prime_cnf_random_domains_and_primality():
 
 def _random_domain(rng, n, size):
     positions = rng.sample(range(1 << n), size)
-    return Domain(n, tuple(position_to_assignment(p, n) for p in positions))
+    return Domain.from_mask(n, sum(1 << p for p in positions))
 
 
 def test_prime_cnf_matches_plain_loop_reference():
@@ -197,13 +198,21 @@ def test_lpic_for_mod10(mod):
 
 
 def test_lpic_model_set_computed_once(monkeypatch, mod):
-    # mod10 takes the occurring-within-admissible path, mod14 the xor rewrite:
-    # on each, exactly one models call sees the final lpic formula
+    # mod10 takes the occurring-within-admissible path, where the prime CNF's
+    # certificate checks the model set, and mod14 the xor rewrite, where the
+    # candidate is checked: on each, exactly one satisfying_mask call sees
+    # the final lpic formula, and no models call does, through any binding
+    enumerated = []
+    original = models
+    for module in [m for name, m in sys.modules.items() if name.startswith("aggdom")]:
+        if getattr(module, "models", None) is original:
+            monkeypatch.setattr(module, "models", lambda f, *a, **k: enumerated.append(f) or original(f, *a, **k))
     for d, rewritten in ((mod[10], False), (mod[14], True)):
-        calls = count_calls(monkeypatch, synthesize, "models")
+        sweeps = count_calls(monkeypatch, synthesize, "satisfying_mask")
         result = lpic_for(d)
         assert bool(result.witness.v1 or result.witness.v2) == rewritten
-        assert sum(1 for args in calls if args[0] == result.formula) == 1
+        assert sum(1 for args in sweeps if args[0] == result.formula) == 1
+        assert result.formula not in enumerated
 
 
 def test_lpic_for_mod9_rejects(mod):
@@ -351,7 +360,7 @@ def test_round_trip_oracle_consistency_n3():
 def test_round_trip_sampled_n4():
     from aggdom.oracle import census_domains
 
-    rng_domains = list(census_domains(4, mode="sample", sample=120, seed=5))
+    rng_domains = list(census_domains(4, sample=120, seed=5))
     for _mask, d in rng_domains:
         pic = pic_for(d)
         if pic is not None:
@@ -374,10 +383,10 @@ def test_prime_cnf_n20_within_ten_seconds():
 
 @pytest.mark.slow
 def test_round_trip_exhaustive_n4():
-    from aggdom.oracle import _domain_from_mask, _eligible
+    from aggdom.oracle import _eligible
 
     for mask in range(1, 1 << 16):
-        d = _domain_from_mask(mask, 4)
+        d = Domain.from_mask(4, mask)
         if not _eligible(d):
             continue
         pic = pic_for(d)
