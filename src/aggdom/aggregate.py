@@ -35,7 +35,7 @@ from .domain import (
     escaping_tuple,
     rename_domain,
 )
-from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError, _content_lines
+from .errors import DegenerateDomainError, EmptyDomainError, ParseError, VerificationError, _content_lines, _decimals
 from .formula import DEFAULT_MODELS_CAP
 from .recognize import LpicWitness, RPHWitness, SeparabilityWitness, check_syntactic_class
 from .synthesize import SynthesisResult, _analyse, _free_part, _lpic_from, _pic_from
@@ -219,7 +219,7 @@ def parse_aggregator(text: str) -> Aggregator:
             if parts[0] != "a" or len(parts) != 3:
                 raise ParseError("expected header 'a <n> <k>'", lineno, 1)
             try:
-                header = (int(parts[1]), int(parts[2]))
+                header = tuple(_decimals(parts[1:]))
             except ValueError:
                 raise ParseError("bad aggregator header", lineno, 1) from None
             if min(header) < 1:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import CapExceededError, EmptyDomainError, ParseError, _content_lines
+from .errors import CapExceededError, EmptyDomainError, ParseError, _content_lines, _decimals
 
 if TYPE_CHECKING:  # pragma: no cover
     from .boolfn import BoolFn
@@ -111,7 +111,7 @@ def parse_domain(text: str) -> Domain:
             if parts[0] != "d" or len(parts) != 2:
                 raise ParseError("expected header 'd <n>'", lineno, 1)
             try:
-                n = int(parts[1])
+                (n,) = _decimals(parts[1:])
             except ValueError:
                 raise ParseError(f"bad arity {parts[1]!r}", lineno, 1) from None
             if n < 1:

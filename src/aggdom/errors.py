@@ -1,4 +1,5 @@
-"""Shared exception types, and the line rule of the three text formats.
+"""Shared exception types, and the line and integer rules of the three text
+formats.
 
 The CLI maps these onto exit codes: input problems (ParseError and plain
 ValueError) exit 2, resource caps exit 3, and VerificationError, a bug
@@ -44,3 +45,20 @@ def _content_lines(text):
         parts = line.split()
         if parts and parts[0] != "c":
             yield lineno, line, parts
+
+
+def _decimals(tokens) -> list[int]:
+    """The values of whitespace-free tokens that are all ASCII decimal
+    integers, ``[+-]?[0-9]+``.  int() alone also reads ``1_0`` as 10 and
+    accepts non-ASCII digits such as ``１``; here the first token, in order,
+    that is not such an integer raises ValueError.  The formula, domain and
+    aggregator parsers read every integer through this rule."""
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        return list(map(int, tokens))
+    values = []
+    for token in tokens:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"not an ASCII decimal integer: {token!r}")
+        values.append(int(token))
+    return values

@@ -10,9 +10,18 @@ A clause is one of:
   are true.
 
 A literal is a signed DIMACS int: ``v`` is x_v and ``-v`` its negation, and
-0 is never a literal.  A clause stores its or part and its xor part as two
+0 is never a literal.  A `Clause` holds its or part and its xor part as two
 tuples of such ints (`Clause.or_part`, `Clause.xor_part`); renaming a set of
 variables flips the signs of their literals and nothing else.
+
+A `Formula` is stored as a clause arena (Een and Sorensson, "An Extensible
+SAT-solver", SAT 2003): one flat ``array('i')`` of the literals of every
+clause, back to back, and three per-clause offset arrays, so that clause i
+has the or part ``lits[starts[i]:xstarts[i]]`` and the xor part
+``lits[xstarts[i]:ends[i]]``.  A clause's kind follows from which part is
+empty.  The recognizers and the model mask read these arrays;
+`Formula.clauses`, the tuple of `Clause` objects, is built on first access
+and cached.
 
 All variables inside a single clause must be distinct.  Clause kind is part
 of the syntax: a one-literal OR clause and a one-literal XOR clause evaluate
@@ -20,27 +29,57 @@ identically but are different objects, because the recognizers downstream
 are syntactic.  Duplicate clauses are preserved as written.
 
 The text format is an extended DIMACS dialect.  `parse_formula` reads it
-as one lazy stream of whitespace-separated tokens, holding only the clause
-being read, so the header and a clause may span lines; comment lines are
-skipped by the rule the domain and aggregator parsers share.
+line by line into the arena: a line that holds exactly one well-formed
+clause is converted in one batch, and every other line goes token by token,
+so the header and a clause may span lines; comment lines are skipped by the
+rule the domain and aggregator parsers share.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from typing import Iterable
 
-from .errors import CapExceededError, ParseError, _content_lines
+from .errors import CapExceededError, ParseError, _content_lines, _decimals
 
 DEFAULT_MODELS_CAP = 24
+
+# the largest variable index an array('i') item holds
+_MAX_VARIABLES = 2**31 - 1
 
 
 class ClauseKind(enum.Enum):
     OR = "or"
     XOR = "xor"
     GENERALIZED = "generalized"
+
+
+def _clause_fault(kind: ClauseKind, or_part, xor_part) -> str | None:
+    """Why the parts do not make a clause of this kind, or None when they do."""
+    literals = or_part + xor_part
+    if 0 in literals:
+        return "0 is not a literal"
+    if kind is ClauseKind.OR:
+        if xor_part:
+            return "OR clause must not have an xor part"
+        if not or_part:
+            return "OR clause needs at least one literal"
+    elif kind is ClauseKind.XOR:
+        if or_part:
+            return "XOR clause must not have an or part"
+        if not xor_part:
+            return "XOR clause needs at least one literal"
+    elif not or_part or not xor_part:
+        return "generalized clause needs both parts non-empty"
+    seen = set()
+    for v in map(abs, literals):
+        if v in seen:
+            return f"variable x{v} repeated within a clause"
+        seen.add(v)
+    return None
 
 
 @dataclass(frozen=True)
@@ -52,27 +91,9 @@ class Clause:
     xor_part: tuple[int, ...] = ()
 
     def __post_init__(self):
-        literals = self.or_part + self.xor_part
-        if 0 in literals:
-            raise ValueError("0 is not a literal")
-        if self.kind is ClauseKind.OR:
-            if self.xor_part:
-                raise ValueError("OR clause must not have an xor part")
-            if not self.or_part:
-                raise ValueError("OR clause needs at least one literal")
-        elif self.kind is ClauseKind.XOR:
-            if self.or_part:
-                raise ValueError("XOR clause must not have an or part")
-            if not self.xor_part:
-                raise ValueError("XOR clause needs at least one literal")
-        else:
-            if not self.or_part or not self.xor_part:
-                raise ValueError("generalized clause needs both parts non-empty")
-        seen = set()
-        for v in map(abs, literals):
-            if v in seen:
-                raise ValueError(f"variable x{v} repeated within a clause")
-            seen.add(v)
+        fault = _clause_fault(self.kind, self.or_part, self.xor_part)
+        if fault is not None:
+            raise ValueError(fault)
 
     @classmethod
     def disjunction(cls, *signed: int) -> "Clause":
@@ -98,29 +119,82 @@ class Clause:
         return self.kind is ClauseKind.OR and sum(lit < 0 for lit in self.or_part) <= 1
 
 
-@dataclass(frozen=True)
-class Formula:
-    """A conjunction of clauses over variables x1..xn.
+def _kind(or_part, xor_part) -> ClauseKind:
+    """The kind of the clause with these parts, at least one of them non-empty."""
+    if not xor_part:
+        return ClauseKind.OR
+    return ClauseKind.GENERALIZED if or_part else ClauseKind.XOR
 
-    An empty clause list is allowed and denotes the full cube (needed as the
-    synthesis output for the unconstrained domain).
+
+class Formula:
+    """A conjunction of clauses over variables x1..xn, held in a clause arena
+    (see the module docstring): `lits`, `starts`, `xstarts` and `ends`.
+
+    `Formula(n, clauses)` packs the given `Clause` objects and keeps them as
+    `clauses`; a parsed formula builds that tuple on first access.  An empty
+    clause list is allowed and denotes the full cube (needed as the
+    synthesis output for the unconstrained domain).  A formula is a value:
+    equal and hashed by n and its clauses, and never modified in place.
     """
 
-    n: int
-    clauses: tuple[Clause, ...] = ()
+    __slots__ = ("n", "lits", "starts", "xstarts", "ends", "_clauses")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, clauses: Iterable[Clause] = ()):
+        if n < 1:
             raise ValueError("a formula needs at least one variable")
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(self.clauses))
-        for clause in self.clauses:
-            for v in clause.variables():
-                if v > self.n:
-                    raise ValueError(f"variable x{v} out of range (n={self.n})")
+        if n > _MAX_VARIABLES:
+            raise ValueError(f"a formula holds at most {_MAX_VARIABLES} variables")
+        clauses = tuple(clauses)
+        lits, xstarts, ends = [], [], []
+        for clause in clauses:
+            lits += clause.or_part
+            xstarts.append(len(lits))
+            lits += clause.xor_part
+            ends.append(len(lits))
+        if lits and max(max(lits), -min(lits)) > n:
+            v = next(v for v in map(abs, lits) if v > n)
+            raise ValueError(f"variable x{v} out of range (n={n})")
+        _pack(self, n, array("i", lits), array("i", xstarts), array("i", ends), clauses)
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as `Clause` objects, built once and cached."""
+        if self._clauses is None:
+            lits = self.lits
+            parts = ((lits[s:x], lits[x:e]) for s, x, e in zip(self.starts, self.xstarts, self.ends))
+            self._clauses = tuple(Clause(_kind(o, x), tuple(o), tuple(x)) for o, x in parts)
+        return self._clauses
 
     def occurring_variables(self) -> set[int]:
-        return {v for clause in self.clauses for v in clause.variables()}
+        return set(map(abs, self.lits))
+
+    def __eq__(self, other):
+        if other.__class__ is not Formula:
+            return NotImplemented
+        # starts follows from ends
+        return (
+            self.n == other.n
+            and self.ends == other.ends
+            and self.xstarts == other.xstarts
+            and self.lits == other.lits
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.lits.tobytes(), self.xstarts.tobytes(), self.ends.tobytes()))
+
+    def __repr__(self):
+        return f"Formula(n={self.n}, clauses={self.clauses!r})"
+
+
+def _pack(f: Formula, n: int, lits: array, xstarts: array, ends: array, clauses) -> None:
+    """Set the fields of f; starts is ends shifted right by one clause, and
+    clauses is the cached tuple or None."""
+    f.n = n
+    f.lits = lits
+    f.starts = (array("i", [0]) + ends)[:-1]
+    f.xstarts = xstarts
+    f.ends = ends
+    f._clauses = clauses
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +206,16 @@ class Formula:
 # XOR clause:         x <lit> ... 0
 # generalized clause: g <or-lits...> x <xor-lits...> 0
 #
-# Tokens are whitespace-separated and line breaks carry no meaning.  The
-# terminator is exactly "0"; another zero ("-0", "00") is an unexpected token.
+# Tokens are whitespace-separated and line breaks carry no meaning.  Every
+# integer is ASCII decimal, [+-]?[0-9]+.  The terminator is exactly "0";
+# another zero ("-0", "00") is an unexpected token.
 # ---------------------------------------------------------------------------
 
 
-def _tokens(text: str):
-    """Lazy stream of (token, line number, line, index in line)."""
-    for lineno, line, parts in _content_lines(text):
-        for index, token in enumerate(parts):
-            yield token, lineno, line, index
-
-
-def _error(message: str, token) -> ParseError:
-    """A ParseError at `token`, its column computed from its line only here."""
-    _, lineno, line, index = token
+def _error(message: str, where) -> ParseError:
+    """A ParseError at `where`, (line number, line, index of the token in the
+    line); the token's column is computed from its line only here."""
+    lineno, line, index = where
     end = 0
     for part in line.split()[: index + 1]:
         start = line.index(part, end)
@@ -162,89 +231,138 @@ _CLAUSE_NAMES = {
 }
 
 
+def _whole_clause(parts: list[str], nvars: int):
+    """(literals, length of the or part) of a line whose tokens are exactly
+    one well-formed clause, converted in one batch; None sends the line down
+    the token path, which also finds its first error."""
+    opener = parts[0]
+    if opener == "x":
+        body, cut = parts[1:-1], 0
+    elif opener == "g":
+        try:
+            cut = parts.index("x") - 1
+        except ValueError:
+            return None
+        body = parts[1 : cut + 1] + parts[cut + 2 : -1]
+        if not 0 < cut < len(body):  # an empty part
+            return None
+    else:
+        body = parts[:-1]
+        cut = len(body)
+    try:
+        literals = _decimals(body)
+    except ValueError:
+        return None
+    variables = set(map(abs, literals))
+    if not literals or len(variables) != len(literals) or 0 in variables or max(variables) > nvars:
+        return None
+    return literals, cut
+
+
 def parse_formula(text: str) -> Formula:
     """Parse extended-DIMACS text into a Formula.
 
-    Reads one token at a time, so the header and a clause may span lines.
-    Rejects repeated variables inside a clause, out-of-range indices and a
-    clause count that disagrees with the header.
+    The header and a clause may span lines.  Rejects repeated variables
+    inside a clause, out-of-range indices and a clause count that disagrees
+    with the header; each literal's range is checked once, here.
     """
-    tokens = _tokens(text)
-    head = list(islice(tokens, 4))
+    lines = _content_lines(text)
+    head = []  # the header's tokens as (word, (line number, line, index))
+    for lineno, line, parts in lines:
+        head.extend((word, (lineno, line, index)) for index, word in enumerate(parts[: 4 - len(head)]))
+        if len(head) == 4:
+            break
     if not head:
         raise ParseError("empty input, expected 'p ecnf <nvars> <nclauses>' header")
     if head[0][0] != "p":
-        raise _error(f"expected 'p' header, got {head[0][0]!r}", head[0])
+        raise _error(f"expected 'p' header, got {head[0][0]!r}", head[0][1])
     if len(head) < 4:
-        raise _error("truncated header", head[0])
+        raise _error("truncated header", head[0][1])
     if head[1][0] != "ecnf":
-        raise _error(f"expected format 'ecnf', got {head[1][0]!r}", head[1])
+        raise _error(f"expected format 'ecnf', got {head[1][0]!r}", head[1][1])
     sizes = []
-    for token in head[2:]:
+    for word, where in head[2:]:
         try:
-            sizes.append(int(token[0]))
+            sizes.extend(_decimals((word,)))
         except ValueError:
-            raise _error(f"expected an integer, got {token[0]!r}", token) from None
+            raise _error(f"expected an integer, got {word!r}", where) from None
     nvars, nclauses = sizes
     if nvars < 1:
-        raise _error("header must declare at least one variable", head[0])
+        raise _error("header must declare at least one variable", head[0][1])
     if nclauses < 0:
-        raise _error("negative clause count", head[0])
+        raise _error("negative clause count", head[0][1])
+    if nvars > _MAX_VARIABLES:
+        raise _error(f"header declares more than {_MAX_VARIABLES} variables", head[0][1])
 
-    clauses: list[Clause] = []
+    lits, xstarts, ends = array("i"), array("i"), array("i")
+    first = head[3][1][2] + 1  # index of the first token after the header
     kind = None  # kind of the clause being read; None between clauses
-    for token in tokens:
-        word = token[0]
-        if kind is None:
-            start, or_part, xor_part = token, [], []
-            kind = _OPENERS.get(word, ClauseKind.OR)
-            part = xor_part if kind is ClauseKind.XOR else or_part  # where literals go
-            need_x = kind is ClauseKind.GENERALIZED
-            if kind is not ClauseKind.OR:
+    for lineno, line, parts in chain([(lineno, line, parts)], lines):
+        if kind is None and not first and parts[-1] == "0":
+            clause = _whole_clause(parts, nvars)
+            if clause is not None:
+                literals, cut = clause
+                xstarts.append(len(lits) + cut)
+                lits.extend(literals)
+                ends.append(len(lits))
                 continue
-        elif need_x and word == "x":
-            part, need_x = xor_part, False
-            continue
-        try:
-            value = int(word)
-        except ValueError:
-            raise _error(f"expected an integer, got {word!r}", token) from None
-        if value:
-            if abs(value) > nvars:
-                raise _error(f"variable x{abs(value)} out of range (n={nvars})", token)
-            part.append(value)
-            continue
-        if need_x:
-            raise _error("generalized clause needs an 'x' separator", token)
-        if word != "0":
-            raise _error(f"unexpected token {word!r} in {_CLAUSE_NAMES[kind]}", token)
-        try:
-            clauses.append(Clause(kind, tuple(or_part), tuple(xor_part)))
-        except ValueError as exc:
-            raise _error(str(exc), start) from None
-        kind = None
+        for index in range(first, len(parts)):
+            word = parts[index]
+            if kind is None:
+                start = (lineno, line, index)
+                kind = _OPENERS.get(word, ClauseKind.OR)
+                or_part, xor_part = [], []
+                part = xor_part if kind is ClauseKind.XOR else or_part  # where literals go
+                need_x = kind is ClauseKind.GENERALIZED
+                if kind is not ClauseKind.OR:
+                    continue
+            elif need_x and word == "x":
+                part, need_x = xor_part, False
+                continue
+            try:
+                (value,) = _decimals((word,))
+            except ValueError:
+                raise _error(f"expected an integer, got {word!r}", (lineno, line, index)) from None
+            if value:
+                if abs(value) > nvars:
+                    raise _error(f"variable x{abs(value)} out of range (n={nvars})", (lineno, line, index))
+                part.append(value)
+                continue
+            if need_x:
+                raise _error("generalized clause needs an 'x' separator", (lineno, line, index))
+            if word != "0":
+                raise _error(f"unexpected token {word!r} in {_CLAUSE_NAMES[kind]}", (lineno, line, index))
+            fault = _clause_fault(kind, or_part, xor_part)
+            if fault is not None:
+                raise _error(fault, start)
+            xstarts.append(len(lits) + len(or_part))
+            lits.extend(or_part + xor_part)
+            ends.append(len(lits))
+            kind = None
+        first = 0
     if kind is not None:
-        raise _error("clause not terminated by 0", token)
+        raise _error("clause not terminated by 0", (lineno, line, len(parts) - 1))
 
-    if len(clauses) != nclauses:
-        raise ParseError(f"header declares {nclauses} clauses but {len(clauses)} were given")
-    return Formula(nvars, tuple(clauses))
+    if len(ends) != nclauses:
+        raise ParseError(f"header declares {nclauses} clauses but {len(ends)} were given")
+    f = Formula.__new__(Formula)
+    _pack(f, nvars, lits, xstarts, ends, None)
+    return f
 
 
 def render_formula(f: Formula) -> str:
     """Inverse of parse_formula: parse(render(f)) is structurally equal to f."""
-    lines = [f"p ecnf {f.n} {len(f.clauses)}"]
-    for clause in f.clauses:
-        parts = []
-        if clause.kind is ClauseKind.GENERALIZED:
-            parts.append("g")
-        if clause.kind is ClauseKind.OR or clause.kind is ClauseKind.GENERALIZED:
-            parts.extend(map(str, clause.or_part))
-        if clause.kind is not ClauseKind.OR:
-            parts.append("x")
-            parts.extend(map(str, clause.xor_part))
-        parts.append("0")
-        lines.append(" ".join(parts))
+    lits = f.lits
+    lines = [f"p ecnf {f.n} {len(f.ends)}"]
+    for s, x, e in zip(f.starts, f.xstarts, f.ends):
+        or_text = " ".join(map(str, lits[s:x]))
+        xor_text = " ".join(map(str, lits[x:e]))
+        if x == e:
+            lines.append(f"{or_text} 0")
+        elif s == x:
+            lines.append(f"x {xor_text} 0")
+        else:
+            lines.append(f"g {or_text} x {xor_text} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -293,22 +411,21 @@ def satisfying_mask(f: Formula, masks: list[int] | None = None) -> int:
     if masks is None:
         masks = _variable_masks(f.n)
     full = (1 << (1 << f.n)) - 1
+    lits = f.lits.tolist()
     result = full
-    for clause in f.clauses:
-        or_mask = 0
-        for l in clause.or_part:
+    for s, x, e in zip(f.starts, f.xstarts, f.ends):
+        # the or part's mask, joined by the xor part's; one of the two parts
+        # is empty unless the clause is generalized
+        clause_mask = 0
+        for l in lits[s:x]:
             m = masks[abs(l) - 1]
-            or_mask |= m if l > 0 else (full & ~m)
-        xor_mask = 0
-        for l in clause.xor_part:
-            m = masks[abs(l) - 1]
-            xor_mask ^= m if l > 0 else (full & ~m)
-        if clause.kind is ClauseKind.OR:
-            clause_mask = or_mask
-        elif clause.kind is ClauseKind.XOR:
-            clause_mask = xor_mask
-        else:
-            clause_mask = or_mask | xor_mask
+            clause_mask |= m if l > 0 else (full & ~m)
+        if x != e:
+            xor_mask = 0
+            for l in lits[x:e]:
+                m = masks[abs(l) - 1]
+                xor_mask ^= m if l > 0 else (full & ~m)
+            clause_mask |= xor_mask
         result &= clause_mask
         if not result:
             break

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .formula import ClauseKind, Formula
+from .formula import Formula
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,19 @@ class PicResult:
 
 
 def check_syntactic_class(f: Formula) -> SyntacticFlags:
-    """The four classical clause classes, in five linear passes over the
-    clauses (one for all-OR, one per class), each stopping at its first
-    failing clause."""
-    all_or = all(c.kind is ClauseKind.OR for c in f.clauses)
-    return SyntacticFlags(
-        horn=all_or and all(c.is_horn() for c in f.clauses),
-        dual_horn=all_or and all(c.is_dual_horn() for c in f.clauses),
-        bijunctive=all_or and all(len(c.or_part) <= 2 for c in f.clauses),
-        affine=all(c.kind is ClauseKind.XOR for c in f.clauses),
-    )
+    """The four classical clause classes.  All-OR and affine compare offset
+    arrays (no xor parts, no or parts); the other three classes need all-OR
+    and take one pass over the clauses each, stopping at the first failing
+    clause."""
+    all_or = f.xstarts == f.ends
+    horn = dual_horn = bijunctive = False
+    if all_or:
+        spans = list(zip(f.starts, f.ends))
+        positive = bytes(l > 0 for l in f.lits)
+        horn = all(positive.count(1, s, e) <= 1 for s, e in spans)
+        dual_horn = all(positive.count(0, s, e) <= 1 for s, e in spans)
+        bijunctive = all(e - s <= 2 for s, e in spans)
+    return SyntacticFlags(horn, dual_horn, bijunctive, affine=f.starts == f.xstarts)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,8 @@ def variable_components(clause_var_lists, variables) -> list[set[int]]:
 
 def _components(f: Formula, occurring: set[int]) -> list[set[int]]:
     """variable_components of f, streaming each clause's variable list."""
-    return variable_components((c.variables() for c in f.clauses), sorted(occurring))
+    variables = list(map(abs, f.lits))
+    return variable_components((variables[s:e] for s, e in zip(f.starts, f.ends)), sorted(occurring))
 
 
 def _group_by_component(components: list[set[int]], keyed_items) -> list[list]:
@@ -192,16 +196,20 @@ def _partially_horn_renamed(f: Formula, renamed, admissible) -> bool:
     renamed, or negative and renamed."""
     if not admissible:
         raise ValueError("the admissible set must be non-empty")
-    for clause in f.clauses:
-        positive = [abs(l) for l in clause.or_part if (l > 0) != (abs(l) in renamed)]
-        if clause.kind is ClauseKind.OR:
-            if admissible.issuperset(map(abs, clause.or_part)):
-                if len(positive) > 1:
+    # one byte per literal: is its variable admissible, and is it an
+    # admissible literal that is positive after renaming
+    inside = bytes(map(admissible.__contains__, map(abs, f.lits)))
+    positive = {v if v not in renamed else -v for v in admissible}
+    hits = bytes(map(positive.__contains__, f.lits))
+    for s, x, e in zip(f.starts, f.xstarts, f.ends):
+        if x == e:  # an OR clause
+            if not inside.count(0, s, e):  # inside the admissible set: Horn
+                if hits.count(1, s, e) > 1:
                     return False
                 continue
-        elif not admissible.isdisjoint(map(abs, clause.xor_part)):
+        elif inside.count(1, x, e):  # an xor part meets the admissible set
             return False
-        if not admissible.isdisjoint(positive):
+        if hits.count(1, s, x):
             return False
     return True
 
@@ -228,20 +236,22 @@ def build_implication_graph(f: Formula) -> tuple[list[list[int]], set[int]]:
     """Adjacency lists over the 2n renaming vertices plus the dead seeds."""
     adj: list[list[int]] = [[] for _ in range(2 * f.n)]
     dead: set[int] = set()
-    for clause in f.clauses:
-        # src(l), the vertex that makes l positive after renaming
-        sources = [2 * l - 1 if l > 0 else -2 * l - 2 for l in clause.or_part]
-        if clause.kind is ClauseKind.OR:
-            # tgt(l) is the counterpart of src(l), which gives skew symmetry:
-            # the pair (v, u) contributes exactly the edge
-            # counterpart(tgt(u)) -> counterpart(src(v))
-            targets = [s ^ 1 for s in sources]
+    # src(l) for every literal l, the vertex that makes l positive after
+    # renaming, and tgt(l), its counterpart, which gives skew symmetry: the
+    # pair (v, u) contributes exactly the edge counterpart(tgt(u)) ->
+    # counterpart(src(v))
+    vertices = [2 * l - 1 if l > 0 else -2 * l - 2 for l in f.lits]
+    counterparts = [v ^ 1 for v in vertices]
+    for s, x, e in zip(f.starts, f.xstarts, f.ends):
+        sources = vertices[s:x]
+        if x == e:  # an OR clause
+            targets = counterparts[s:x]
             for i, src in enumerate(sources):
                 adj[src].extend(targets[:i] + targets[i + 1 :])
         else:
-            for l in clause.xor_part:
-                dead.add(2 * abs(l) - 2)
-                dead.add(2 * abs(l) - 1)
+            # both vertices of every xor-part variable
+            dead.update(vertices[x:e])
+            dead.update(counterparts[x:e])
             dead.update(sources)
     return adj, dead
 
@@ -418,21 +428,19 @@ def _verify_lpic(f: Formula, occurring: set[int], renamed, v0, v1, v2) -> bool:
         raise ValueError("the renamed set must lie inside V0")
     if v0 and not _partially_horn_renamed(f, renamed, v0):
         return False
-    for clause in f.clauses:
-        in_v1 = in_v2 = 0
-        for v in clause.variables():
-            if v in v1:
-                in_v1 += 1
-            elif v in v2:
-                in_v2 += 1
+    variables = list(map(abs, f.lits))
+    one = bytes(map(v1.__contains__, variables))
+    two = bytes(map(v2.__contains__, variables))
+    for s, x, e in zip(f.starts, f.xstarts, f.ends):
+        in_v1, in_v2 = one.count(1, s, e), two.count(1, s, e)
         if in_v1 > 2 or (in_v1 and in_v2):
             return False
         if in_v2:
-            if clause.kind is ClauseKind.OR:
+            if x == e:  # an OR clause
                 return False
-            if not v2.issuperset(map(abs, clause.xor_part)):
+            if not v2.issuperset(variables[x:e]):
                 return False
-            if not v0.issuperset(map(abs, clause.or_part)):
+            if not v0.issuperset(variables[s:x]):
                 return False
     return True
 
@@ -480,11 +488,11 @@ def _lpic_from(
             return None
         v1: set[int] = set()
         v2: set[int] = set()
-        keyed = ((vs[0], c) for c in f.clauses if (vs := c.variables()))
+        keyed = ((abs(f.lits[s]), (s, x, e)) for s, x, e in zip(f.starts, f.xstarts, f.ends))
         for comp, clauses in zip(components, _group_by_component(components, keyed)):
-            if all(c.kind is ClauseKind.OR and len(c.or_part) <= 2 for c in clauses):
+            if all(x == e and e - s <= 2 for s, x, e in clauses):  # bijunctive OR clauses
                 v1 |= comp
-            elif all(c.kind is ClauseKind.XOR for c in clauses):
+            elif all(s == x for s, x, e in clauses):  # xor clauses
                 v2 |= comp
             else:
                 return None
@@ -494,9 +502,9 @@ def _lpic_from(
     rest = occurring - v0
     v2 = frozenset(
         v
-        for clause in f.clauses
-        if clause.kind is not ClauseKind.OR
-        for v in clause.variables()
+        for s, x, e in zip(f.starts, f.xstarts, f.ends)
+        if x != e  # an xor or generalized clause
+        for v in map(abs, f.lits[s:e])
         if v in rest
     )
     v1 = rest - v2
@@ -539,7 +547,7 @@ def classify_formula(f: Formula) -> FormulaClassReport:
     Horn, pic and lpic are read off the shared results."""
     flags = check_syntactic_class(f)
     notes = ()
-    if any(c.kind is not ClauseKind.OR for c in f.clauses):
+    if f.xstarts != f.ends:  # some clause has an xor part
         notes = ("mixed-clause-extension",)
     rph, partially_horn = _horn_witnesses(f)
     occurring = f.occurring_variables()

@@ -213,6 +213,11 @@ def test_aggregator_file_errors():
         parse_aggregator("a 1 2\nt 010\n")  # wrong table width
     with pytest.raises(ParseError):
         parse_aggregator("b 1 2\nand\n")
+    # header integers are ASCII decimal: int() alone reads 1_0 as 10
+    assert parse_aggregator("a +1 2\nand\n") == parse_aggregator("a 1 2\nand\n")
+    for header in ("a 1_0 2", "a 1 \u0662", "a \uff11 2"):
+        with pytest.raises(ParseError, match="bad aggregator header"):
+            parse_aggregator(header + "\nand\n")
 
 
 def test_aggregator_arity_bounded_by_tuple_cap():

@@ -44,11 +44,17 @@ def test_parse_domain_comments():
         "d 2\n0x\n",  # non-binary
         "d 2\n",  # empty domain
         "x 2\n00\n",  # bad header
+        "d 1_0\n0000000000\n",  # int() reads 1_0 as 10
+        "d \uff12\n00\n",  # a non-ASCII digit
     ],
 )
 def test_parse_domain_errors(text):
     with pytest.raises(ParseError):
         parse_domain(text)
+
+
+def test_parse_domain_header_takes_a_plus_sign():
+    assert parse_domain("d +2\n01\n").n == 2
 
 
 def test_render_round_trip(mod):

@@ -18,7 +18,7 @@ from aggdom import (
 from aggdom import parse_aggregator, parse_domain
 from aggdom.recognize import check_syntactic_class
 
-from util import brute_models, clause_true
+from util import brute_models, clause_true, reference_parse_formula
 
 
 def test_parse_or_clause():
@@ -68,6 +68,9 @@ _PARSE_ERRORS = {
     "c x\n  p ecnf\n-3 0\n": ("header must declare at least one variable", 2, 3),
     "p ecnf 2 -1\n": ("negative clause count", 1, 1),
     "p ecnf 2 1 extra\n1 0\n": ("expected an integer, got 'extra'", 1, 12),
+    "p ecnf \u0663 1\n1 0\n": ("expected an integer, got '\u0663'", 1, 8),
+    "p ecnf 2 1_0\n1 0\n": ("expected an integer, got '1_0'", 1, 10),
+    "p ecnf 2147483648 1\n1 0\n": ("header declares more than 2147483647 variables", 1, 1),
     "p ecnf 2 2\n1 2 0\n": ("header declares 2 clauses but 1 were given", None, None),
     "p ecnf 2 0\n1 0\n": ("header declares 0 clauses but 1 were given", None, None),
     # the terminator
@@ -90,6 +93,11 @@ _PARSE_ERRORS = {
     "p ecnf 2 1\n1 x 0\n": ("expected an integer, got 'x'", 2, 3),
     "p ecnf 2 1\n1 g 0\n": ("expected an integer, got 'g'", 2, 3),
     "p ecnf 2 1\n1 q 0\n": ("expected an integer, got 'q'", 2, 3),
+    # integers are ASCII decimal: no underscores, no other digits
+    "p ecnf 10 1\n1_0 +2 0\n": ("expected an integer, got '1_0'", 2, 1),
+    "p ecnf 2 1\n\uff11 0\n": ("expected an integer, got '\uff11'", 2, 1),
+    "p ecnf 3 1\nx 1 \u0663 0\n": ("expected an integer, got '\u0663'", 2, 5),
+    "p ecnf 3 1\n1 2\n3_ 0\n": ("expected an integer, got '3_'", 3, 1),
     "p ecnf 2 1\n0\n": ("OR clause needs at least one literal", 2, 1),
     "p ecnf 2 1\nx 0\n": ("XOR clause needs at least one literal", 2, 1),
     # literals
@@ -109,6 +117,10 @@ def test_parse_errors(text):
     where = "" if line is None else f"line {line}, col {column}: "
     assert str(err.value) == where + message
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_accepts_a_plus_sign():
+    assert parse_formula("p ecnf +2 +1\n+1 -2 0\n") == parse_formula("p ecnf 2 1\n1 -2 0\n")
 
 
 def test_parse_error_carries_position():
@@ -315,6 +327,70 @@ def test_parse_render_round_trip_property(f, data):
     assert parse_formula(noisy) == f
 
 
+# Tokens that make a file malformed when inserted or substituted.
+_BAD_TOKENS = ["x", "g", "-0", "00", "+0", "1_0", "\u0663", "q", "0", "7", "-7"]
+
+
+@st.composite
+def ecnf_texts(draw):
+    """A rendered random formula, edited up to twice (a stray, replaced or
+    dropped token, a repeated variable, an out-of-range literal, a wrong
+    clause count), then laid out with random whitespace, CRLF endings,
+    comment lines, clauses split over lines and lines holding two clauses."""
+    tokens = render_formula(draw(formulas())).split()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edit = draw(st.sampled_from(["insert", "replace", "drop", "repeat", "range", "count"]))
+        at = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        if edit == "insert":
+            tokens.insert(at, draw(st.sampled_from(_BAD_TOKENS)))
+        elif edit == "replace":
+            tokens[at] = draw(st.sampled_from(_BAD_TOKENS))
+        elif edit == "drop":
+            del tokens[at]
+        elif edit in ("repeat", "range"):
+            # a literal of some clause
+            literals = [i for i, token in enumerate(tokens[4:], 4) if token.lstrip("-").isdigit() and int(token)]
+            if not literals:
+                continue
+            at = draw(st.sampled_from(literals))
+            if edit == "repeat":
+                tokens.insert(at + 1, draw(st.sampled_from([tokens[at], str(-int(tokens[at]))])))
+            elif tokens[2:3] and tokens[2].isdigit():
+                tokens[at] = str(draw(st.sampled_from([1, -1])) * (int(tokens[2]) + 1))
+        elif edit == "count" and tokens[3:4] and tokens[3].isdigit():
+            tokens[3] = str(int(tokens[3]) + draw(st.sampled_from([1, -1])))
+    # the plain layout is one clause per line; any gap may be a space or
+    # noise instead
+    gaps = [
+        draw(st.one_of(st.just("\n" if token == "0" or at == 3 else " "), st.just(" "), _LAYOUT))
+        for at, token in enumerate(tokens)
+    ]
+    return "".join(token + gap for token, gap in zip(tokens, gaps))
+
+
+def _parse_outcome(parse, text):
+    """The formula, or the type, message and position of the error."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@settings(max_examples=200, deadline=None)
+@given(ecnf_texts())
+@example("p ecnf 3 2\n1 0 -2 3 0\n")  # two clauses on one line
+@example("p ecnf 3 1\r\ng -1 x\r\nc split\r\n2 3 0\r\n")
+def test_parse_formula_equals_the_token_stream_reference(text):
+    assert _parse_outcome(parse_formula, text) == _parse_outcome(reference_parse_formula, text)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(ecnf_texts())
+def test_parse_formula_equals_the_token_stream_reference_at_length(text):
+    assert _parse_outcome(parse_formula, text) == _parse_outcome(reference_parse_formula, text)
+
+
 def test_xor_equals_generalized_semantics_exhaustively():
     # an xor clause behaves exactly like the generalized-clause rule with an
     # empty (vacuously false) or part, exhaustively up to n=10
@@ -340,6 +416,23 @@ def test_clause_kind_is_syntactic():
     f_xor = Formula(1, (xor_unit,))
     assert models(f_or) == models(f_xor)
     assert check_syntactic_class(f_or).horn and not check_syntactic_class(f_xor).horn
+
+
+def test_formula_packs_and_checks_the_clauses_it_is_given():
+    clauses = (Clause.disjunction(1, -2), Clause.generalized([-1], [2]), Clause.exclusive_or(2))
+    f = Formula(2, list(clauses))
+    assert f.clauses == clauses and f.clauses[0] is clauses[0]
+    assert (f.lits.tolist(), f.starts.tolist(), f.xstarts.tolist(), f.ends.tolist()) == (
+        [1, -2, -1, 2, 2], [0, 2, 4], [2, 3, 4], [2, 4, 5]
+    )
+    assert f == parse_formula(render_formula(f)) and hash(f) == hash(parse_formula(render_formula(f)))
+    for n, bad, message in [
+        (0, (), "at least one variable"),
+        (2**31, (), "at most 2147483647 variables"),
+        (2, clauses + (Clause.disjunction(1, -3),), r"x3 out of range \(n=2\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Formula(n, bad)
 
 
 def test_duplicate_clauses_preserved():

@@ -413,6 +413,28 @@ def test_classify_formula_builds_one_graph_and_one_split(phi, monkeypatch):
         monkeypatch.undo()
 
 
+def test_classify_formula_cli_builds_no_clause(tmp_path, monkeypatch, capsys):
+    from aggdom import cli
+    from aggdom.formula import Clause
+
+    built = []
+    post_init = Clause.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Clause, "__post_init__", counted)
+    Clause.disjunction(1)
+    assert len(built) == 1  # the count sees every Clause constructed
+    path = tmp_path / "mixed.ecnf"
+    # OR, xor and generalized clauses, one of them split over two lines
+    path.write_text("p ecnf 5 4\n1 -2 0\nx 2 3 0\ng -1 x\n4 5 0\n-3 -4 0\n")
+    assert cli.main(["classify-formula", str(path), "--json"]) in (0, 1)
+    assert "renamable_partially_horn" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 def _standalone_report(f):
     """classify_formula's report assembled from the public recognizers alone."""
     flags = check_syntactic_class(f)

@@ -5,9 +5,11 @@ assignments and tuples) so the library's packed-int and bitmask paths are
 checked against something that shares no code with them.
 """
 
-from itertools import combinations_with_replacement, product
+import re
+from itertools import combinations_with_replacement, islice, product
 
-from aggdom.formula import ClauseKind
+from aggdom.errors import ParseError, _content_lines
+from aggdom.formula import Clause, ClauseKind, Formula
 
 
 def clause_true(clause, assignment):
@@ -247,3 +249,87 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+_REFERENCE_OPENERS = {"x": ClauseKind.XOR, "g": ClauseKind.GENERALIZED}
+_REFERENCE_CLAUSE_NAMES = {
+    ClauseKind.OR: "clause",
+    ClauseKind.XOR: "xor clause",
+    ClauseKind.GENERALIZED: "generalized clause",
+}
+
+
+def reference_parse_formula(text):
+    """The .ecnf parser as one loop over a lazy stream of tokens, one `Clause`
+    per clause and `Formula(n, clauses)` at the end; integers are ASCII
+    decimal by a regular expression."""
+
+    def tokens():
+        for lineno, line, parts in _content_lines(text):
+            for index, token in enumerate(parts):
+                yield token, lineno, line, index
+
+    def error(message, token):
+        _, lineno, line, index = token
+        end = 0
+        for part in line.split()[: index + 1]:
+            start = line.index(part, end)
+            end = start + len(part)
+        return ParseError(message, lineno, start + 1)
+
+    def integer(token):
+        if not re.fullmatch(r"[+-]?[0-9]+", token[0]):
+            raise error(f"expected an integer, got {token[0]!r}", token)
+        return int(token[0])
+
+    stream = tokens()
+    head = list(islice(stream, 4))
+    if not head:
+        raise ParseError("empty input, expected 'p ecnf <nvars> <nclauses>' header")
+    if head[0][0] != "p":
+        raise error(f"expected 'p' header, got {head[0][0]!r}", head[0])
+    if len(head) < 4:
+        raise error("truncated header", head[0])
+    if head[1][0] != "ecnf":
+        raise error(f"expected format 'ecnf', got {head[1][0]!r}", head[1])
+    nvars, nclauses = integer(head[2]), integer(head[3])
+    if nvars < 1:
+        raise error("header must declare at least one variable", head[0])
+    if nclauses < 0:
+        raise error("negative clause count", head[0])
+
+    clauses = []
+    kind = None  # kind of the clause being read; None between clauses
+    for token in stream:
+        word = token[0]
+        if kind is None:
+            start, or_part, xor_part = token, [], []
+            kind = _REFERENCE_OPENERS.get(word, ClauseKind.OR)
+            part = xor_part if kind is ClauseKind.XOR else or_part  # where literals go
+            need_x = kind is ClauseKind.GENERALIZED
+            if kind is not ClauseKind.OR:
+                continue
+        elif need_x and word == "x":
+            part, need_x = xor_part, False
+            continue
+        value = integer(token)
+        if value:
+            if abs(value) > nvars:
+                raise error(f"variable x{abs(value)} out of range (n={nvars})", token)
+            part.append(value)
+            continue
+        if need_x:
+            raise error("generalized clause needs an 'x' separator", token)
+        if word != "0":
+            raise error(f"unexpected token {word!r} in {_REFERENCE_CLAUSE_NAMES[kind]}", token)
+        try:
+            clauses.append(Clause(kind, tuple(or_part), tuple(xor_part)))
+        except ValueError as exc:
+            raise error(str(exc), start) from None
+        kind = None
+    if kind is not None:
+        raise error("clause not terminated by 0", token)
+
+    if len(clauses) != nclauses:
+        raise ParseError(f"header declares {nclauses} clauses but {len(clauses)} were given")
+    return Formula(nvars, tuple(clauses))
