@@ -224,8 +224,11 @@ def parse_aggregator(text: str) -> Aggregator:
                 raise ParseError("bad aggregator header", lineno, 1) from None
             if min(header) < 1:
                 raise ParseError("aggregator header needs n >= 1 and k >= 1", lineno, 1)
-            if header[1] >= DEFAULT_TUPLE_CAP.bit_length():  # 2^k > cap, tested without 2^k
-                raise ParseError(f"aggregator arity k needs 2^k <= {DEFAULT_TUPLE_CAP}", lineno, 1)
+            # the minterm masks of a check cost n 2^k whatever the domain;
+            # a huge k fails the first test before any 2^k is built
+            n, k = header
+            if k >= DEFAULT_TUPLE_CAP.bit_length() or n << k > DEFAULT_TUPLE_CAP:
+                raise ParseError(f"aggregator header needs n * 2^k <= {DEFAULT_TUPLE_CAP}", lineno, 1)
             continue
         n, k = header
         if parts[0] == "t":

@@ -10,16 +10,20 @@ A clause is one of:
   are true.
 
 A literal is a signed DIMACS int: ``v`` is x_v and ``-v`` its negation, and
-0 is never a literal.  A `Clause` holds its or part and its xor part as two
-tuples of such ints (`Clause.or_part`, `Clause.xor_part`); renaming a set of
-variables flips the signs of their literals and nothing else.
+0 is never a literal.  A clause is its or part and its xor part, two
+sequences of such ints; renaming a set of variables flips the signs of their
+literals and nothing else.
 
 A `Formula` is stored as a clause arena (Een and Sorensson, "An Extensible
 SAT-solver", SAT 2003): one flat ``array('i')`` of the literals of every
 clause, back to back, and three per-clause offset arrays, so that clause i
 has the or part ``lits[starts[i]:xstarts[i]]`` and the xor part
 ``lits[xstarts[i]:ends[i]]``.  A clause's kind follows from which part is
-empty.  The recognizers and the model mask read these arrays;
+empty.  Inside the library a formula is only ever this arena: the parser
+fills it, synthesis packs (or part, xor part) pairs into it and reads them
+back as slices (`_from_pairs`, `_pairs`), and the recognizers and the model
+mask read the arrays.  `Clause` is the public API's view: `Formula(n,
+clauses)` packs `Clause` objects through the same path as synthesis, and
 `Formula.clauses`, the tuple of `Clause` objects, is built on first access
 and cached.
 
@@ -59,7 +63,7 @@ class ClauseKind(enum.Enum):
 
 def _clause_fault(kind: ClauseKind, or_part, xor_part) -> str | None:
     """Why the parts do not make a clause of this kind, or None when they do."""
-    literals = or_part + xor_part
+    literals = [*or_part, *xor_part]
     if 0 in literals:
         return "0 is not a literal"
     if kind is ClauseKind.OR:
@@ -111,16 +115,9 @@ class Clause:
         """Variables in literal order (or part first)."""
         return list(map(abs, self.or_part + self.xor_part))
 
-    def is_horn(self) -> bool:
-        """At most one positive literal; only meaningful for OR clauses."""
-        return self.kind is ClauseKind.OR and sum(lit > 0 for lit in self.or_part) <= 1
-
-    def is_dual_horn(self) -> bool:
-        return self.kind is ClauseKind.OR and sum(lit < 0 for lit in self.or_part) <= 1
-
 
 def _kind(or_part, xor_part) -> ClauseKind:
-    """The kind of the clause with these parts, at least one of them non-empty."""
+    """The kind of the clause with these parts (OR when both are empty)."""
     if not xor_part:
         return ClauseKind.OR
     return ClauseKind.GENERALIZED if or_part else ClauseKind.XOR
@@ -131,8 +128,8 @@ class Formula:
     (see the module docstring): `lits`, `starts`, `xstarts` and `ends`.
 
     `Formula(n, clauses)` packs the given `Clause` objects and keeps them as
-    `clauses`; a parsed formula builds that tuple on first access.  An empty
-    clause list is allowed and denotes the full cube (needed as the
+    `clauses`; any other formula builds that tuple on first access.  An
+    empty clause list is allowed and denotes the full cube (needed as the
     synthesis output for the unconstrained domain).  A formula is a value:
     equal and hashed by n and its clauses, and never modified in place.
     """
@@ -140,29 +137,15 @@ class Formula:
     __slots__ = ("n", "lits", "starts", "xstarts", "ends", "_clauses")
 
     def __init__(self, n: int, clauses: Iterable[Clause] = ()):
-        if n < 1:
-            raise ValueError("a formula needs at least one variable")
-        if n > _MAX_VARIABLES:
-            raise ValueError(f"a formula holds at most {_MAX_VARIABLES} variables")
         clauses = tuple(clauses)
-        lits, xstarts, ends = [], [], []
-        for clause in clauses:
-            lits += clause.or_part
-            xstarts.append(len(lits))
-            lits += clause.xor_part
-            ends.append(len(lits))
-        if lits and max(max(lits), -min(lits)) > n:
-            v = next(v for v in map(abs, lits) if v > n)
-            raise ValueError(f"variable x{v} out of range (n={n})")
-        _pack(self, n, array("i", lits), array("i", xstarts), array("i", ends), clauses)
+        f = _from_pairs(n, ((c.or_part, c.xor_part) for c in clauses))
+        _pack(self, n, f.lits, f.xstarts, f.ends, clauses)
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
         """The clauses as `Clause` objects, built once and cached."""
         if self._clauses is None:
-            lits = self.lits
-            parts = ((lits[s:x], lits[x:e]) for s, x, e in zip(self.starts, self.xstarts, self.ends))
-            self._clauses = tuple(Clause(_kind(o, x), tuple(o), tuple(x)) for o, x in parts)
+            self._clauses = tuple(Clause(_kind(o, x), tuple(o), tuple(x)) for o, x in _pairs(self))
         return self._clauses
 
     def occurring_variables(self) -> set[int]:
@@ -195,6 +178,37 @@ def _pack(f: Formula, n: int, lits: array, xstarts: array, ends: array, clauses)
     f.xstarts = xstarts
     f.ends = ends
     f._clauses = clauses
+
+
+def _from_pairs(n: int, pairs: Iterable[tuple]) -> Formula:
+    """The formula over x1..xn whose clauses are the (or part, xor part)
+    pairs of signed ints, in order; each pair is checked as `Clause` checks
+    its parts, with the kind that follows from which part is empty."""
+    if n < 1:
+        raise ValueError("a formula needs at least one variable")
+    if n > _MAX_VARIABLES:
+        raise ValueError(f"a formula holds at most {_MAX_VARIABLES} variables")
+    lits, xstarts, ends = [], [], []
+    for or_part, xor_part in pairs:
+        fault = _clause_fault(_kind(or_part, xor_part), or_part, xor_part)
+        if fault is not None:
+            raise ValueError(fault)
+        lits += or_part
+        xstarts.append(len(lits))
+        lits += xor_part
+        ends.append(len(lits))
+    if lits and max(max(lits), -min(lits)) > n:
+        v = next(v for v in map(abs, lits) if v > n)
+        raise ValueError(f"variable x{v} out of range (n={n})")
+    f = Formula.__new__(Formula)
+    _pack(f, n, array("i", lits), array("i", xstarts), array("i", ends), None)
+    return f
+
+
+def _pairs(f: Formula):
+    """Each clause of f as its (or part, xor part) pair of `f.lits` slices."""
+    lits = f.lits
+    return ((lits[s:x], lits[x:e]) for s, x, e in zip(f.starts, f.xstarts, f.ends))
 
 
 # ---------------------------------------------------------------------------

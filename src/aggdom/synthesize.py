@@ -25,6 +25,10 @@ Every formula handed out has its model set checked exactly once, where it is
 built, as `satisfying_mask(f) == d.mask`: the prime CNF in its certificate,
 the xor rewrite, the guarded-xor lpic candidate and the lifted result.  The
 models cap is checked once per public entry, on the input's arity.
+
+Formulas are written and read as clause arenas only: each is packed from
+(or part, xor part) pairs of signed ints and read back as arena slices, and
+clauses are named by their index, so synthesis builds no clause objects.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from .errors import (
 )
 from .formula import (
     DEFAULT_MODELS_CAP,
-    Clause,
-    ClauseKind,
     Formula,
+    _from_pairs,
+    _pairs,
     _repeat,
     _variable_masks,
     satisfying_mask,
@@ -92,7 +96,7 @@ def prime_cnf(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> PrimeFormula:
         raise CapExceededError(f"prime CNF synthesis needs n <= {cap}, got n={n}")
     masks = _variable_masks(n)
     clauses = _shrunk_clauses(d.members_as_ints, n, masks)
-    formula = Formula(n, tuple(Clause.disjunction(*c) for c in _prune_redundant(clauses, n, masks)))
+    formula = _from_pairs(n, ((c, ()) for c in _prune_redundant(clauses, n, masks)))
     _check_prime_cnf(formula, d, masks)
     return PrimeFormula(formula, prime_certified=True)
 
@@ -212,8 +216,8 @@ def _prune_redundant(clauses, n: int, ones: list[int]) -> list[tuple[int, ...]]:
 
 def _check_prime_cnf(formula: Formula, d: Domain, masks: list[int] | None = None):
     ints = d.members_as_ints
-    for clause in formula.clauses:
-        signed = list(clause.or_part)
+    for or_part, _xor_part in _pairs(formula):
+        signed = or_part.tolist()
         variables = sum(1 << (d.n - abs(l)) for l in signed)
         neg = sum(1 << (d.n + l) for l in signed if l < 0)
         # each member's satisfied literals, as bits of the packed layout
@@ -225,17 +229,6 @@ def _check_prime_cnf(formula: Formula, d: Domain, masks: list[int] | None = None
             raise VerificationError(f"clause {signed} is not prime")
     if satisfying_mask(formula, masks) != d.mask:
         raise VerificationError("synthesized formula admits a non-member")
-
-
-def _xor_normal_form(clause: Clause) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Key identifying the models of a generalized clause: or-part literals,
-    xor-part variable set, and the parity the xor part must reach."""
-    negatives = sum(l < 0 for l in clause.xor_part)
-    return (
-        tuple(sorted(clause.or_part)),
-        tuple(sorted(map(abs, clause.xor_part))),
-        1 ^ (negatives & 1),
-    )
 
 
 def affine_formula(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> Formula | None:
@@ -252,15 +245,14 @@ def affine_formula(d: Domain, cap: int = DEFAULT_MODELS_CAP) -> Formula | None:
 
 
 def _xor_rewrite(d: Domain, prime: Formula) -> Formula:
-    clauses = []
-    seen = set()
-    for clause in prime.clauses:
-        xor_clause = Clause(ClauseKind.XOR, xor_part=clause.or_part)
-        key = _xor_normal_form(xor_clause)
-        if key not in seen:
-            seen.add(key)
-            clauses.append(xor_clause)
-    formula = Formula(d.n, tuple(clauses))
+    # each prime (OR) clause becomes the xor of its literals; two xor clauses
+    # have the same models iff they share the variable set and the parity of
+    # their negative literals, and the first of them is kept
+    xor_parts = {}
+    for or_part, _xor_part in _pairs(prime):
+        key = (frozenset(map(abs, or_part)), sum(l < 0 for l in or_part) & 1)
+        xor_parts.setdefault(key, or_part)
+    formula = _from_pairs(d.n, (((), part) for part in xor_parts.values()))
     if satisfying_mask(formula) != d.mask:
         raise VerificationError("affine rewrite changed the model set")
     return formula
@@ -321,19 +313,16 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> Synt
     """
     if result is None:
         return None
-    unit = Clause.exclusive_or if result.kind == "affine" else Clause.disjunction
-    units = tuple(unit(v if bit else -v) for v, bit in sorted(fixed.items()))
+    signed = [v if bit else -v for v, bit in sorted(fixed.items())]
+    units = [((), (l,)) if result.kind == "affine" else ((l,), ()) for l in signed]
 
     def lift_vars(variables):
         return frozenset(free[v - 1] for v in variables)
 
     def lift_part(part):
-        return tuple(free[l - 1] if l > 0 else -free[-l - 1] for l in part)
+        return [free[l - 1] if l > 0 else -free[-l - 1] for l in part]
 
-    lifted_clauses = tuple(
-        Clause(c.kind, lift_part(c.or_part), lift_part(c.xor_part))
-        for c in result.formula.clauses
-    )
+    lifted = [(lift_part(o), lift_part(x)) for o, x in _pairs(result.formula)]
     fixed_vars = frozenset(fixed)
     witness = result.witness
     if isinstance(witness, SeparabilityWitness):
@@ -347,7 +336,7 @@ def _lift_result(result: SynthesisResult | None, d: Domain, fixed, free) -> Synt
             lift_vars(witness.v1),
             lift_vars(witness.v2),
         )
-    formula = Formula(d.n, units + lifted_clauses)
+    formula = _from_pairs(d.n, units + lifted)
     if satisfying_mask(formula) != d.mask:
         raise VerificationError("permissive re-embedding changed the model set")
     return SynthesisResult(
@@ -425,41 +414,38 @@ def _lpic_from(d: Domain, a: _DomainAnalysis) -> tuple[SynthesisResult | None, s
         witness = LpicWitness(renamed, frozenset(occurring), frozenset(), frozenset())
         return _verified(prime, witness), "accepted"
 
-    outside = [c for c in prime.clauses if not set(c.variables()) <= v0]
-    tails = {
-        id(c): [l for l in c.or_part if abs(l) not in v0] for c in outside
-    }
+    # the prime CNF's clauses are OR clauses: only their or parts matter;
+    # tails[i] is clause i's literals outside V0, for the clauses with any
+    clauses = [or_part for or_part, _xor_part in _pairs(prime)]
+    tails = {}
+    for i, c in enumerate(clauses):
+        tail = [l for l in c if abs(l) not in v0]
+        if tail:
+            tails[i] = tail
     rest = sorted(occurring - v0)
-    components = variable_components(
-        ([abs(l) for l in tails[id(c)]] for c in outside), rest
-    )
+    components = variable_components(([abs(l) for l in tail] for tail in tails.values()), rest)
 
     v1: set[int] = set()
     v2: set[int] = set()
     rewrite: set[int] = set()
-    keyed = ((abs(tails[id(c)][0]), c) for c in outside if tails[id(c)])
+    keyed = ((abs(tail[0]), i) for i, tail in tails.items())
     for comp, comp_clauses in zip(components, _group_by_component(components, keyed)):
-        if all(len(tails[id(c)]) <= 2 for c in comp_clauses):
+        if all(len(tails[i]) <= 2 for i in comp_clauses):
             v1 |= comp
             continue
-        if _tail_models_affine(comp, comp_clauses, tails):
+        if _tail_models_affine(comp, [tails[i] for i in comp_clauses]):
             v2 |= comp
-            rewrite.update(id(c) for c in comp_clauses)
+            rewrite.update(comp_clauses)
         else:
             return None, "component neither bijunctive nor affine"
 
-    transformed = []
-    for c in prime.clauses:
-        if id(c) in rewrite:
-            guard = tuple(l for l in c.or_part if abs(l) in v0)
-            tail = tuple(tails[id(c)])
-            if guard:
-                transformed.append(Clause(ClauseKind.GENERALIZED, guard, tail))
-            else:
-                transformed.append(Clause(ClauseKind.XOR, xor_part=tail))
-        else:
-            transformed.append(c)
-    candidate = Formula(d.n, tuple(transformed))
+    # a rewritten clause keeps its V0 literals as the or part (the guard)
+    # and takes its tail as the xor part, so it is an xor clause when
+    # unguarded and a generalized clause otherwise
+    candidate = _from_pairs(d.n, (
+        ([l for l in c if abs(l) in v0], tails[i]) if i in rewrite else (c, ())
+        for i, c in enumerate(clauses)
+    ))
     witness = LpicWitness(renamed, v0, frozenset(v1), frozenset(v2))
 
     if satisfying_mask(candidate) != d.mask:
@@ -470,17 +456,13 @@ def _lpic_from(d: Domain, a: _DomainAnalysis) -> tuple[SynthesisResult | None, s
     return _verified(candidate, witness), "accepted"
 
 
-def _tail_models_affine(comp, comp_clauses, tails) -> bool:
+def _tail_models_affine(comp, comp_tails) -> bool:
     order = sorted(comp)
     position = {v: i + 1 for i, v in enumerate(order)}
-    sub_clauses = tuple(
-        Clause.disjunction(*(
-            position[l] if l > 0 else -position[-l]
-            for l in tails[id(c)]
-        ))
-        for c in comp_clauses
-    )
-    tail_models = Domain.from_mask(len(order), satisfying_mask(Formula(len(order), sub_clauses)))
+    sub = _from_pairs(len(order), (
+        ([position[l] if l > 0 else -position[-l] for l in tail], ()) for tail in comp_tails
+    ))
+    tail_models = Domain.from_mask(len(order), satisfying_mask(sub))
     # an empty model set is the model set of a contradictory pair of xor
     # clauses, so it counts as affine; the rewrite is model-checked anyway
     return not tail_models.members or is_affine(tail_models)

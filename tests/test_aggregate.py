@@ -221,12 +221,13 @@ def test_aggregator_file_errors():
 
 
 def test_aggregator_arity_bounded_by_tuple_cap():
-    # checking a k-ary aggregator on two members visits 2^k tuples, so an
-    # arity with 2^k above the default tuple cap is refused before any table
+    # checking a k-ary aggregator on two members visits 2^k tuples after
+    # building n 2^k minterm masks, so a header with n 2^k above the default
+    # tuple cap is refused before any table
     assert 1 << 23 <= DEFAULT_TUPLE_CAP < 1 << 24
-    for k in (24, 30, 10**6):
+    for n, k in ((1, 24), (1, 30), (1, 10**6), (200, 16), (1000, 23)):
         with pytest.raises(ParseError, match=r"2\^k"):
-            parse_aggregator(f"a 1 {k}\npr1\n")
+            parse_aggregator(f"a {n} {k}\n" + "pr1\n" * n)
     with pytest.raises(ParseError, match="declares 1 components"):
         parse_aggregator("a 1 23\n")  # the largest arity passes the header
 

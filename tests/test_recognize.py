@@ -413,7 +413,34 @@ def test_classify_formula_builds_one_graph_and_one_split(phi, monkeypatch):
         monkeypatch.undo()
 
 
-def test_classify_formula_cli_builds_no_clause(tmp_path, monkeypatch, capsys):
+_MOD14_TEXT = "d 3\n001\n010\n100\n111\n"  # affine: both constraints take the xor rewrite
+_DEGENERATE_TEXT = "d 4\n0011\n0101\n1001\n1111\n"  # x4 fixed to 1
+
+
+@pytest.mark.parametrize(
+    "argv, text, expected",
+    [
+        # OR, xor and generalized clauses, one of them split over two lines
+        pytest.param(
+            ["classify-formula", "--json"],
+            "p ecnf 5 4\n1 -2 0\nx 2 3 0\ng -1 x\n4 5 0\n-3 -4 0\n",
+            "renamable_partially_horn",
+            id="classify-formula",
+        ),
+        pytest.param(["synthesize"], _MOD14_TEXT, "x 1 2 3 0", id="synthesize"),
+        pytest.param(["synthesize", "--lpic"], _MOD14_TEXT, "x -1 -2 3 0", id="synthesize-lpic"),
+        pytest.param(["classify-domain", "--json", "--witness"], _MOD14_TEXT, '"lpic"', id="classify-domain"),
+        pytest.param(["synthesize", "--permissive"], _DEGENERATE_TEXT, "x 4 0", id="synthesize-permissive"),
+        pytest.param(
+            ["classify-domain", "--permissive"], _DEGENERATE_TEXT, "lpic+fixed-coordinates",
+            id="classify-domain-permissive",
+        ),
+    ],
+)
+def test_classify_formula_cli_builds_no_clause(tmp_path, monkeypatch, capsys, argv, text, expected):
+    # the library works on the clause arena alone: parsing, recognizing,
+    # synthesizing (prime CNF, xor rewrite, lpic rewrite, lifting) and
+    # classifying build no Clause
     from aggdom import cli
     from aggdom.formula import Clause
 
@@ -427,11 +454,10 @@ def test_classify_formula_cli_builds_no_clause(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Clause, "__post_init__", counted)
     Clause.disjunction(1)
     assert len(built) == 1  # the count sees every Clause constructed
-    path = tmp_path / "mixed.ecnf"
-    # OR, xor and generalized clauses, one of them split over two lines
-    path.write_text("p ecnf 5 4\n1 -2 0\nx 2 3 0\ng -1 x\n4 5 0\n-3 -4 0\n")
-    assert cli.main(["classify-formula", str(path), "--json"]) in (0, 1)
-    assert "renamable_partially_horn" in capsys.readouterr().out
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main([*argv, str(path)]) in (0, 1)
+    assert expected in capsys.readouterr().out
     assert len(built) == 1
 
 
